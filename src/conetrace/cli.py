@@ -396,16 +396,6 @@ def _build_parser():
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # env cap on internal parallelism; experiments here run on one worker
-    threads = os.environ.get("CONETRACE_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("CONETRACE_THREADS must be a positive integer", file=sys.stderr)
-                return 2
-        except ValueError:
-            print("CONETRACE_THREADS must be a positive integer", file=sys.stderr)
-            return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,13 +21,14 @@ from .errors import (
     NullHomotopicError,
 )
 from .geom import PlaneIsometry, norm_angle
-from .surface import ConeSurface
+from .surface import ConeSurface, places_along
 from .tracer import (
     ConeHit,
     EdgeCross,
     GeodesicPath,
     Segment,
     TangentState,
+    _placed_cone_vertices,
     word_holonomy,
 )
 
@@ -66,7 +67,8 @@ class Loop:
 def loop_length(s: ConeSurface, loop: Loop) -> float:
     """Length of the piecewise-geodesic loop as given (before shortening)."""
     word = loop.crossings
-    places = _slot_places(s, word)
+    # slot j is the face between crossings j-1 and j; slot 0 is the base face
+    places = places_along(s, [(c.gluing, c.forward) for c in word])
     chain = []
     for k, c in enumerate(word):
         e0, e1, _, _ = _canonical_edge(s, c)
@@ -173,16 +175,6 @@ def validate_word(s: ConeSurface, word: list[Crossing]):
 # ---------------------------------------------------------------------------
 # corner fan walks
 
-def _corner_successor(s: ConeSurface, f: int, v: int):
-    return s._corner_successor(f, v)
-
-
-def _corner_predecessor(s: ConeSurface, f: int, v: int):
-    gi, is_a = s.edge_of[(f, v)]
-    other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-    return (other[0], (other[1] + 1) % len(s.faces[other[0]]))
-
-
 def _wedge_letters(s: ConeSurface, corner_in, corner_out, ccw: bool) -> list[Crossing]:
     """Crossing letters collected walking around a vertex class between two corners."""
     letters = []
@@ -190,15 +182,10 @@ def _wedge_letters(s: ConeSurface, corner_in, corner_out, ccw: bool) -> list[Cro
     cap = sum(len(fan) for fan in s.class_corners) + 2
     while cur != corner_out:
         f, v = cur
-        if ccw:
-            edge = (f, (v - 1) % len(s.faces[f]))
-            nxt = _corner_successor(s, f, v)
-        else:
-            edge = (f, v)
-            nxt = _corner_predecessor(s, f, v)
-        gi, is_a = s.edge_of[edge]
-        letters.append(Crossing(gi, is_a, 0.5))
-        cur = nxt
+        # ccw leaves across the edge ending at the vertex, cw across the one starting there
+        nb = s.neighbours[f][(v - 1) % len(s.faces[f]) if ccw else v]
+        letters.append(Crossing(nb.gluing, nb.forward, 0.5))
+        cur = (nb.face, nb.edge if ccw else (nb.edge + 1) % len(s.faces[nb.face]))
         cap -= 1
         if cap < 0:
             raise NoConvergenceError(0)
@@ -207,19 +194,6 @@ def _wedge_letters(s: ConeSurface, corner_in, corner_out, ccw: bool) -> list[Cro
 
 # ---------------------------------------------------------------------------
 # corridor development
-
-def _slot_places(s: ConeSurface, word: list[Crossing]):
-    """Cumulative isometries Q_j mapping slot-j charts into the base chart.
-
-    Slot j is the face between crossings j-1 and j; slot 0 is the base face.
-    Q has length len(word) + 1 and Q[-1] is the holonomy of the word.
-    """
-    places = [PlaneIsometry.identity()]
-    for c in word:
-        trans = s.crossing_transition(c.gluing, c.forward)
-        places.append(places[-1].compose(trans.inverse()))
-    return places
-
 
 @dataclass
 class _Arc:
@@ -235,12 +209,10 @@ class _Arc:
 
 
 class _Shortener:
-    def __init__(self, s: ConeSurface, word: list[Crossing], max_iters: int, tol: float):
+    def __init__(self, s: ConeSurface, word: list[Crossing], max_iters: int):
         self.s = s
         self.word = word
         self.max_iters = max_iters
-        self.tol = tol
-        self.anchors: list[tuple[tuple[int, int], tuple[int, int]]] = []
         self.arcs: list[_Arc] = []
         # cyclic (anchor-free) state
         self.places = None
@@ -248,7 +220,12 @@ class _Shortener:
         self.axis_dir = None
         self.holonomy = None
         self.params: list[float] = []
-        self.lengths: list[float] = []
+
+    @property
+    def anchors(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """(corner_in, corner_out) of anchor i, which sits between arcs[i-1] and arcs[i]."""
+        arcs = self.arcs
+        return [(arcs[i - 1].end_corner, arcs[i].start_corner) for i in range(len(arcs))]
 
     # -- cyclic (cone-free candidate) ---------------------------------------
 
@@ -256,7 +233,7 @@ class _Shortener:
         """Fit an invariant axis through the corridor; returns a violation or None."""
         s = self.s
         word = self.word
-        places = _slot_places(s, word)
+        places = places_along(s, [(c.gluing, c.forward) for c in word])
         H = places[-1]
         self.places = places
         self.holonomy = H
@@ -332,7 +309,7 @@ class _Shortener:
 
     def _tighten_arc(self, arc: _Arc):
         s = self.s
-        places = _slot_places_for_arc(s, arc)
+        places = places_along(s, [(c.gluing, c.forward) for c in arc.word])
         arc.places = places
         f0, v0 = arc.start_corner
         p_start = s.faces[f0][v0]
@@ -393,7 +370,6 @@ class _Shortener:
     def _snap_cyclic(self, k: int, which: int):
         """Pin crossing k of the cyclic word to its canonical endpoint `which`."""
         corner_in, corner_out = _endpoint_corners(self.s, self.word[k], which)
-        self.anchors = [(corner_in, corner_out)]
         word = self.word[k + 1 :] + self.word[:k]
         self.arcs = [_Arc(word, corner_out, corner_in)]
 
@@ -403,22 +379,13 @@ class _Shortener:
         left = _Arc(arc.word[:k], arc.start_corner, corner_in)
         right = _Arc(arc.word[k + 1 :], corner_out, arc.end_corner)
         self.arcs[j : j + 1] = [left, right]
-        self.anchors.insert(j + 1, (corner_in, corner_out))
-        self._rebase_anchor_list()
-
-    def _rebase_anchor_list(self):
-        # anchors[i] sits between arcs[i-1] and arcs[i] cyclically; keep lists aligned
-        if len(self.anchors) != len(self.arcs):
-            # initial snap produces 1 anchor / 1 arc; splits keep counts equal
-            while len(self.anchors) < len(self.arcs):
-                self.anchors.append(self.anchors[-1])
 
     def _anchor_angles(self, i: int):
         """Side angles (ccw from reversed-in to out, and the complement) at anchor i."""
         s = self.s
-        arc_in = self.arcs[(i - 1) % len(self.arcs)]
+        arc_in = self.arcs[i - 1]
         arc_out = self.arcs[i]
-        corner_in, corner_out = self.anchors[i]
+        corner_in, corner_out = arc_in.end_corner, arc_out.start_corner
         # reversed incoming direction, in the chart of corner_in's face
         pts = arc_in.points
         apex = pts[-1]
@@ -437,26 +404,20 @@ class _Shortener:
         return gamma, theta - gamma
 
     def _unsnap(self, i: int, ccw: bool):
-        s = self.s
-        corner_in, corner_out = self.anchors[i]
-        wedge = _wedge_letters(s, corner_in, corner_out, ccw)
-        # wedge letters cross from corner_in's face chain into corner_out's face
-        arc_in = self.arcs[(i - 1) % len(self.arcs)]
+        arc_in = self.arcs[i - 1]
         arc_out = self.arcs[i]
+        wedge = _wedge_letters(self.s, arc_in.end_corner, arc_out.start_corner, ccw)
+        # wedge letters cross from corner_in's face chain into corner_out's face
         if len(self.arcs) == 1:
             # single anchor: merging returns to the cyclic state
             self.word = arc_in.word + wedge
-            self.anchors = []
             self.arcs = []
             return
-        j_in = (i - 1) % len(self.arcs)
         merged = _Arc(arc_in.word + wedge + arc_out.word, arc_in.start_corner, arc_out.end_corner)
-        if j_in < i:
-            self.arcs[j_in : i + 1] = [merged]
-            self.anchors.pop(i)
+        if i > 0:
+            self.arcs[i - 1 : i + 1] = [merged]
         else:  # wrapped
-            self.arcs = self.arcs[i + 1 : j_in] + [merged]
-            self.anchors = self.anchors[i + 1 : j_in + 1]
+            self.arcs = self.arcs[1:-1] + [merged]
 
     # -- main loop -----------------------------------------------------------
 
@@ -469,19 +430,15 @@ class _Shortener:
                 continue
             if math.dist(arc.points[0], arc.points[-1]) > 10 * self.s.eps_geom:
                 continue
-            j = (i + 1) % len(self.arcs)
-            fused = (self.anchors[i][0], self.anchors[j][1])
-            self.anchors[i] = fused
-            self.anchors.pop(j)
+            # the anchors on either side fuse into (arcs[i-1] end, arcs[i+1] start)
             self.arcs.pop(i)
             return True
         return False
 
     def run(self):
         s = self.s
-        history = []
-        for _ in range(self.max_iters):
-            if not self.anchors:
+        for it in range(self.max_iters):
+            if not self.arcs:
                 self.word = cyclic_reduce(s, self.word)
                 if not self.word:
                     raise NullHomotopicError("crossing word reduces to nothing")
@@ -490,10 +447,9 @@ class _Shortener:
                     _, k, which = violation
                     corner_in, _ = _endpoint_corners(s, self.word[k], which)
                     if not s.is_conical(s.vertex_class[corner_in]):
-                        raise NoConvergenceError(len(history))
+                        raise NoConvergenceError(it)
                     self._snap_cyclic(k, which)
                     continue
-                history.append(self.length)
                 return
             violation = None
             for arc in self.arcs:
@@ -506,12 +462,12 @@ class _Shortener:
                 _, arc, k, which = violation
                 corner_in, _ = _endpoint_corners(s, arc.word[k], which)
                 if not s.is_conical(s.vertex_class[corner_in]):
-                    raise NoConvergenceError(len(history))
+                    raise NoConvergenceError(it)
                 self._snap_arc(arc, k, which)
                 continue
             # all arcs straight; check anchor angles
             deficient = None
-            for i in range(len(self.anchors)):
+            for i in range(len(self.arcs)):
                 gl, gr = self._anchor_angles(i)
                 if gl < math.pi - EPS_ANGLE:
                     deficient = (i, True)
@@ -520,7 +476,6 @@ class _Shortener:
                     deficient = (i, False)
                     break
             if deficient is None:
-                history.append(sum(a.length for a in self.arcs))
                 return
             self._unsnap(*deficient)
         raise NoConvergenceError(self.max_iters)
@@ -534,14 +489,6 @@ def _rotation_fixed_point(iso: PlaneIsometry):
     return ((a * iso.tx - b * iso.ty) / det, (b * iso.tx + a * iso.ty) / det)
 
 
-def _slot_places_for_arc(s: ConeSurface, arc: _Arc):
-    places = [PlaneIsometry.identity()]
-    for c in arc.word:
-        trans = s.crossing_transition(c.gluing, c.forward)
-        places.append(places[-1].compose(trans.inverse()))
-    return places
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -549,11 +496,8 @@ def shorten(
     s: ConeSurface,
     loop: Loop | ClosedGeodesic,
     max_iters: int = 100_000,
-    tol: float | None = None,
 ) -> ClosedGeodesic:
     """Shortest representative of the loop's free homotopy class."""
-    if tol is None:
-        tol = 1e-12 * s.diam_hint
     if isinstance(loop, ClosedGeodesic):
         word = list(loop.crossings)
         anchors = list(loop.anchors)
@@ -569,30 +513,15 @@ def shorten(
         if abs(hol.rot) <= 1e-9 and math.hypot(hol.tx, hol.ty) <= 100 * s.eps_geom:
             raise NullHomotopicError("holonomy is the identity")
 
-    sh = _Shortener(s, word, max_iters, tol)
+    sh = _Shortener(s, word, max_iters)
     sh.run()
     return _assemble(s, sh)
 
 
 def _assemble(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
-    if not sh.anchors:
+    if not sh.arcs:
         return _assemble_cyclic(s, sh)
     return _assemble_anchored(s, sh)
-
-
-def _cone_candidates(s: ConeSurface, faces_and_places):
-    pts = []
-    for face, place in faces_and_places:
-        for v in s.conical_vertices[face]:
-            pts.append(place.apply(*s.faces[face][v]))
-        for e in range(len(s.faces[face])):
-            gi, is_a = s.edge_of[(face, e)]
-            trans = s.crossing_transition(gi, is_a)
-            other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-            nb = place.compose(trans.inverse())
-            for v in s.conical_vertices[other[0]]:
-                pts.append(nb.apply(*s.faces[other[0]][v]))
-    return pts
 
 
 def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
@@ -606,7 +535,7 @@ def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
     slots = [(pre_face(s, word[0]), places[0])]
     for k, c in enumerate(word):
         slots.append((post_face(s, c), places[k + 1]))
-    cand = _cone_candidates(s, slots)
+    cand = [p for face, place in slots for p in _placed_cone_vertices(s, face, place)]
     cand += [H.apply(*p) for p in cand] + [H.inverse().apply(*p) for p in cand]
     offs = sorted({crossval(p) for p in cand})
     c_now = sh.axis_offset
@@ -683,9 +612,9 @@ def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
                 events.append(EdgeCross(cr.gluing, cr.forward, trans, arc_len))
                 crossings.append(replace(cr, t=arc.params[j]))
         # passage at the anchor that ends this arc
-        nxt = (i + 1) % len(sh.anchors)
+        nxt = (i + 1) % len(sh.arcs)
         gl, gr = sh._anchor_angles(nxt)
-        corner_in, corner_out = sh.anchors[nxt]
+        corner_in, corner_out = arc.end_corner, sh.arcs[nxt].start_corner
         cid = s.vertex_class[corner_in]
         passages.append(Passage(cid, corner_in, corner_out, gl, gr))
         events.append(
@@ -734,14 +663,13 @@ def verify_stationarity(s: ConeSurface, g: ClosedGeodesic) -> bool:
     Recomputes the geometry from the raw crossing word and anchors rather than
     trusting the optimizer's stored angles.
     """
-    fresh = _Shortener(s, list(g.crossings), 4, 1e-12 * s.diam_hint)
+    fresh = _Shortener(s, list(g.crossings), 4)
     if g.anchors:
-        fresh.anchors = list(g.anchors)
         fresh.arcs = _arcs_from_anchors(s, g)
         for arc in fresh.arcs:
             if fresh._tighten_arc(arc) is not None:
                 return False
-        for i in range(len(fresh.anchors)):
+        for i in range(len(fresh.arcs)):
             gl, gr = fresh._anchor_angles(i)
             if min(gl, gr) < math.pi - 10 * EPS_ANGLE:
                 return False
@@ -757,9 +685,7 @@ def _arcs_from_anchors(s: ConeSurface, g: ClosedGeodesic):
     # split the crossing word at the anchors in cycle order
     arcs = []
     word = list(g.crossings)
-    counts = []
     # reconstruct arc lengths by walking the stored cycle events
-    k = 0
     counts = []
     cur = 0
     for ev in g.cycle.events:
@@ -791,11 +717,9 @@ def find_unique_closed(
         face = rng.randrange(len(s.faces))
         word = []
         for _ in range(length):
-            e = rng.randrange(len(s.faces[face]))
-            gi, is_a = s.edge_of[(face, e)]
-            word.append(Crossing(gi, is_a, 0.5))
-            other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-            face = other[0]
+            nb = s.neighbours[face][rng.randrange(len(s.faces[face]))]
+            word.append(Crossing(nb.gluing, nb.forward, 0.5))
+            face = nb.face
         if pre_face(s, word[0]) != face:
             continue  # word does not close up to a loop
         try:

@@ -64,15 +64,9 @@ def cell_region(s: ConeSurface, cell: PhaseCell):
     return clip_convex(s.faces[cell.face], cell.box(s))
 
 
-def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
-    """Uniform sample of (position, direction) in the cell; deterministic per generator."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    region = cell_region(s, cell)
-    if len(region) < 3 or abs(signed_area(region)) < 1e-15:
-        raise EmptyCellError(f"cell {cell} does not meet face {cell.face}")
-    # exact uniform position via fan triangulation
-    tris = [(region[0], region[i], region[i + 1]) for i in range(1, len(region) - 1)]
+def _uniform_point(poly, rng) -> tuple[float, float]:
+    """Uniform point of a convex polygon: a fan triangle by area, then two uniforms."""
+    tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
     areas = np.array([abs(signed_area(list(t))) for t in tris])
     k = int(rng.choice(len(tris), p=areas / areas.sum()))
     a, b, c = tris[k]
@@ -81,6 +75,17 @@ def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
         u, v = 1.0 - u, 1.0 - v
     x = a[0] + u * (b[0] - a[0]) + v * (c[0] - a[0])
     y = a[1] + u * (b[1] - a[1]) + v * (c[1] - a[1])
+    return x, y
+
+
+def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
+    """Uniform sample of (position, direction) in the cell; deterministic per generator."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    region = cell_region(s, cell)
+    if len(region) < 3 or abs(signed_area(region)) < 1e-15:
+        raise EmptyCellError(f"cell {cell} does not meet face {cell.face}")
+    x, y = _uniform_point(region, rng)
     d0, d1 = cell.dir_interval()
     direction = d0 + rng.random() * (d1 - d0)
     return TangentState(cell.face, x, y, norm_angle(direction))
@@ -228,16 +233,7 @@ def random_state(s: ConeSurface, rng) -> TangentState:
     """Uniform random unit tangent vector (area-weighted face, uniform direction)."""
     areas = np.array([signed_area(f) for f in s.faces])
     face = int(rng.choice(len(s.faces), p=areas / areas.sum()))
-    poly = s.faces[face]
-    tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
-    ta = np.array([abs(signed_area(list(t))) for t in tris])
-    k = int(rng.choice(len(tris), p=ta / ta.sum()))
-    a, b, c = tris[k]
-    u, v = rng.random(), rng.random()
-    if u + v > 1.0:
-        u, v = 1.0 - u, 1.0 - v
-    x = a[0] + u * (b[0] - a[0]) + v * (c[0] - a[0])
-    y = a[1] + u * (b[1] - a[1]) + v * (c[1] - a[1])
+    x, y = _uniform_point(s.faces[face], rng)
     return TangentState(face, x, y, rng.random() * TWO_PI)
 
 

@@ -123,13 +123,10 @@ def _chords(s: ConeSurface, roots, target, cap: float,
             lb2 = dist_point_segment(px, py, ax, ay, bx, by)
             if lb2 > cap:
                 continue
-            gi, is_a = s.edge_of[(face, e)]
-            trans = s.crossing_transition(gi, is_a)
-            other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-            child_place = place.compose(trans.inverse())
+            nb = s.neighbours[face][e]
             heapq.heappush(
                 heap,
-                (lb2, counter, other[0], px, py, child_place, other[1], w2, depth + 1),
+                (lb2, counter, nb.face, px, py, place.compose(nb.placement), nb.edge, w2, depth + 1),
             )
             counter += 1
     return res
@@ -244,15 +241,13 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
                 continue
             if face == target_face:
                 out.append(place)
-            for e in range(n):
-                gi, is_a = s.edge_of[(face, e)]
-                other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-                child = place.compose(s.crossing_transition(gi, is_a).inverse())
-                key = (other[0],) + _place_key(child)
+            for nb in s.neighbours[face]:
+                child = place.compose(nb.placement)
+                key = (nb.face,) + _place_key(child)
                 if key in seen:
                     continue
                 seen[key] = None
-                nxt.append((other[0], child))
+                nxt.append((nb.face, child))
         frontier = nxt
     return out
 

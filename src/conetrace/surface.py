@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DanglingEdgeError,
@@ -50,6 +51,17 @@ class Corner:
     fan_start: float  # cumulative cone coordinate where this corner's wedge begins
 
 
+class Neighbour(NamedTuple):
+    """One chart step across a glued edge: the face entered and its charts."""
+
+    gluing: int
+    forward: bool  # True when leaving through side A of the gluing
+    face: int  # face entered
+    edge: int  # edge of the entered face that was crossed
+    transition: PlaneIsometry  # leaving chart -> entered chart
+    placement: PlaneIsometry  # entered chart -> leaving chart, transition.inverse()
+
+
 class ConeSurface:
     """Immutable glued-polygon surface. Build through parse_surface/builtin."""
 
@@ -88,14 +100,32 @@ class ConeSurface:
         # transition[gi] maps side-A chart coordinates to side-B chart coordinates,
         # matching the directed edges with reversed orientation (A start <-> B end).
         self.transitions: list[PlaneIsometry] = []
+        self._crossings: list[tuple[PlaneIsometry, PlaneIsometry]] = []
         for (fa, ea), (fb, eb) in self.gluings:
             p0, p1 = self.edge_endpoints(fa, ea)
             q0, q1 = self.edge_endpoints(fb, eb)
-            self.transitions.append(PlaneIsometry.mapping_segment(p0, p1, q1, q0))
+            t = PlaneIsometry.mapping_segment(p0, p1, q1, q0)
+            self.transitions.append(t)
+            self._crossings.append((t.inverse(), t))
+        # neighbours[face][edge]: the chart step out of `face` through `edge`;
+        # edge_rows[face][edge]: (ax, ay, nx, ny, bx, by) with the outward normal
+        # (unnormalized) of the CCW edge a->b
+        self.neighbours: list[list[Neighbour]] = []
+        self.edge_rows: list[list[tuple]] = []
+        for fi, poly in enumerate(self.faces):
+            nbs, rows = [], []
+            for e, (ax, ay) in enumerate(poly):
+                gi, is_a = self.edge_of[(fi, e)]
+                other = self.gluings[gi][1] if is_a else self.gluings[gi][0]
+                trans = self.crossing_transition(gi, is_a)
+                nbs.append(Neighbour(gi, is_a, other[0], other[1], trans, trans.inverse()))
+                bx, by = poly[(e + 1) % len(poly)]
+                rows.append((ax, ay, by - ay, -(bx - ax), bx, by))
+            self.neighbours.append(nbs)
+            self.edge_rows.append(rows)
 
     def crossing_transition(self, gluing: int, forward: bool) -> PlaneIsometry:
-        t = self.transitions[gluing]
-        return t if forward else t.inverse()
+        return self._crossings[gluing][forward]
 
     def _interior_angle(self, face: int, vertex: int) -> float:
         poly = self.faces[face]
@@ -110,11 +140,8 @@ class ConeSurface:
     def _corner_successor(self, face: int, vertex: int) -> tuple[int, int]:
         # Rotating CCW about the vertex leaves the face across edge (face, vertex-1);
         # the shared vertex is the END of that directed edge, hence the START of its partner.
-        n = len(self.faces[face])
-        edge = (vertex - 1) % n
-        gi, is_a = self.edge_of[(face, edge)]
-        other = self.gluings[gi][1] if is_a else self.gluings[gi][0]
-        return (other[0], other[1])
+        nb = self.neighbours[face][(vertex - 1) % len(self.faces[face])]
+        return (nb.face, nb.edge)
 
     def _build_vertex_classes(self):
         seen: dict[tuple[int, int], int] = {}
@@ -211,6 +238,19 @@ class ConeSurface:
         face, vertex, direction = self.from_cone_coordinate(cid, phi)
         vx, vy = self.faces[face][vertex]
         return SurfacePoint(face, vx + r * math.cos(direction), vy + r * math.sin(direction))
+
+
+def places_along(s: ConeSurface, word) -> list[PlaneIsometry]:
+    """Cumulative placements Q_j of the charts along a word [(gluing, forward), ...].
+
+    Q_j maps the chart of the face entered by letter j-1 into the chart of the
+    face the word starts in; Q_0 is the identity and Q[-1] is the holonomy.
+    """
+    places = [PlaneIsometry.identity()]
+    for gi, forward in word:
+        face, edge = s.gluings[gi][not forward]  # the side the letter leaves through
+        places.append(places[-1].compose(s.neighbours[face][edge].placement))
+    return places
 
 
 @dataclass

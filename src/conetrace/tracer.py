@@ -19,7 +19,7 @@ from .errors import (
     OutOfWindowError,
 )
 from .geom import PlaneIsometry, ang_diff, norm_angle
-from .surface import ConeSurface, SurfacePoint
+from .surface import ConeSurface, SurfacePoint, places_along
 
 
 @dataclass(frozen=True)
@@ -83,25 +83,6 @@ class GeodesicPath:
         return [e for e in self.events if isinstance(e, EdgeCross)]
 
 
-def _face_edges(s: ConeSurface, face: int):
-    """Per-edge tuples (ax, ay, nx, ny, bx, by) with outward normal (unnormalized)."""
-    cached = getattr(s, "_edge_cache", None)
-    if cached is None:
-        cached = {}
-        s._edge_cache = cached
-    if face not in cached:
-        poly = s.faces[face]
-        n = len(poly)
-        rows = []
-        for e in range(n):
-            ax, ay = poly[e]
-            bx, by = poly[(e + 1) % n]
-            # CCW polygon: outward normal of edge a->b is (dy, -dx)
-            rows.append((ax, ay, by - ay, -(bx - ax), bx, by))
-        cached[face] = rows
-    return cached[face]
-
-
 def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions | None = None) -> GeodesicPath:
     """Trace the geodesic from `start` for the given arc length."""
     if length < 0:
@@ -125,7 +106,7 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
     guard = -100.0 * s.eps_geom
 
     while True:
-        edges = _face_edges(s, face)
+        edges = s.edge_rows[face]
         best_t = math.inf
         best_e = -1
         for e, (ax, ay, nx, ny, bx, by) in enumerate(edges):
@@ -179,14 +160,13 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
         if len(events) >= opts.max_events:
             raise EventBudgetExceededError(f"more than {opts.max_events} events")
 
-        gi, is_a = s.edge_of[(face, best_e)]
-        trans = s.crossing_transition(gi, is_a)
-        events.append(EdgeCross(gi, is_a, trans, arc))
+        nb = s.neighbours[face][best_e]
+        trans = nb.transition
+        events.append(EdgeCross(nb.gluing, nb.forward, trans, arc))
         px, py = trans.apply(qx, qy)
         d = trans.apply_dir(d)
         dx, dy = math.cos(d), math.sin(d)
-        other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-        face = other[0]
+        face = nb.face
 
     end = TangentState(face, px, py, d)
     return GeodesicPath(start, end, segments, events, arc, closed_flag)
@@ -326,10 +306,7 @@ def holonomy(s: ConeSurface, loop: GeodesicPath) -> PlaneIsometry:
 
 def word_holonomy(s: ConeSurface, word: list[tuple[int, bool]]) -> PlaneIsometry:
     """Holonomy of an edge-crossing word [(gluing, forward), ...]."""
-    iso = PlaneIsometry.identity()
-    for gi, forward in word:
-        iso = iso.compose(s.crossing_transition(gi, forward).inverse())
-    return iso
+    return places_along(s, word)[-1]
 
 
 def itinerary(path: GeodesicPath) -> list[tuple[int, int]]:
@@ -434,15 +411,10 @@ def min_cone_distance_profile(s: ConeSurface, path: GeodesicPath):
         ex, ey = iso.apply(*seg.entry)
         ux, uy = math.cos(seg.direction + iso.rot), math.sin(seg.direction + iso.rot)
         marks = [0.0, seg.length]
-        best_at = {}
         for vx, vy in cand:
             proj = (vx - ex) * ux + (vy - ey) * uy
             proj = min(max(proj, 0.0), seg.length)
-            d = math.hypot(vx - (ex + proj * ux), vy - (ey + proj * uy))
             marks.append(proj)
-            prev = best_at.get(proj)
-            if prev is None or d < prev:
-                best_at[proj] = d
         for m in sorted(set(marks)):
             d = math.inf
             for vx, vy in cand:
@@ -456,14 +428,12 @@ def min_cone_distance_profile(s: ConeSurface, path: GeodesicPath):
 
 
 def _placed_cone_vertices(s: ConeSurface, face: int, iso: PlaneIsometry):
+    """Conical vertices of a placed face copy and of its edge-adjacent copies."""
     pts = []
     for v in s.conical_vertices[face]:
         pts.append(iso.apply(*s.faces[face][v]))
-    for e in range(len(s.faces[face])):
-        gi, is_a = s.edge_of[(face, e)]
-        trans = s.crossing_transition(gi, is_a)
-        other = s.gluings[gi][1] if is_a else s.gluings[gi][0]
-        nb_iso = iso.compose(trans.inverse())
-        for v in s.conical_vertices[other[0]]:
-            pts.append(nb_iso.apply(*s.faces[other[0]][v]))
+    for nb in s.neighbours[face]:
+        nb_iso = iso.compose(nb.placement)
+        for v in s.conical_vertices[nb.face]:
+            pts.append(nb_iso.apply(*s.faces[nb.face][v]))
     return pts

@@ -1,4 +1,5 @@
 """Command-line interface: artifacts, headers, exit codes, determinism."""
+import hashlib
 import math
 
 import pytest
@@ -152,10 +153,29 @@ def test_serialize_round_trip(capsys, tmp_path):
     assert run(tmp_path, "validate", str(out)) == 0
 
 
-def test_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("CONETRACE_THREADS", "zero")
-    assert main(["validate", "--builtin", "octagon6pi"]) == 2
-    monkeypatch.setenv("CONETRACE_THREADS", "0")
-    assert main(["validate", "--builtin", "octagon6pi"]) == 2
-    monkeypatch.setenv("CONETRACE_THREADS", "2")
-    assert main(["validate", "--builtin", "octagon6pi"]) == 0
+# sha256 of each artifact without its header line (which names the version):
+# a refactor that changes no result must keep these bytes
+GOLDEN = [
+    ("trace.csv", "46199871c2afa644ce119962e9b13c28cbcaf7cd08e0cac1c3dbfdf5029c374f",
+     ["trace", "--builtin", "octagon6pi", "--start", "0,0", "--len", "2.5"]),
+    ("develop.csv", "5a4ac73f3e51845616f2950126e4acdeca56ac846dc6f65887060c9709073d69",
+     ["develop", "--builtin", "octagon6pi", "--start", "0,0", "--len", "2.5"]),
+    ("transit.csv", "96ed9e57ab257355bed6519bab605f250d5a909932f95a8405f7f24158ca2d4a",
+     ["transit", "--builtin", "octagon6pi", "--cell-o", "0,4,8,10", "--cell-u", "0,11,8,10",
+      "--horizon", "200", "--dt", "2", "--samples", "40", "--seed", "1"]),
+    ("cone_approach.csv", "6a505f900e57f5c114ff6d27ba75440a78de3caee5292e61a72acaceb69a980b",
+     ["cone-approach", "--builtin", "octagon6pi", "--trajectories", "10", "--length", "30",
+      "--seed", "4"]),
+    ("busemann.csv", "d220be8c4c1b9c30b1bc9228da4173644a4628514183241cdf402fe5345f71bf",
+     ["busemann", "--builtin", "octagon6pi", "--ray-start", "0,0", "--horizon", "130",
+      "--x", "0,0,0", "--x-prime", "0,0,0.15"]),
+    ("shorten.txt", "f48235eb4a2bd9a5b186c2ffd4ce53807c900a5e3ae6921d1a5386fc36f00f99",
+     ["shorten", "--builtin", "octagon6pi", "--word", "0+"]),
+]
+
+
+@pytest.mark.parametrize("name,digest,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_artifact(tmp_path, name, digest, argv):
+    assert run(tmp_path, *argv) == 0
+    body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == digest

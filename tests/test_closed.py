@@ -1,12 +1,15 @@
 """Closed geodesics: shortening, uniqueness certificates, flat cylinders."""
 import math
+import random
 
 import pytest
 
 from conetrace import (
+    BUILTIN_NAMES,
     ClosedGeodesic,
     Crossing,
     Loop,
+    builtin,
     certificate_text,
     cyclic_reduce,
     find_unique_closed,
@@ -15,8 +18,14 @@ from conetrace import (
     loop_length,
     shorten,
     verify_stationarity,
+    word_holonomy,
 )
-from conetrace.errors import BudgetExhaustedError, NotConeFreeError, NullHomotopicError
+from conetrace.errors import (
+    BudgetExhaustedError,
+    NoConvergenceError,
+    NotConeFreeError,
+    NullHomotopicError,
+)
 
 PERIOD_MID = 2 * math.cos(math.pi / 8)
 HALF_WIDTH = math.sin(math.pi / 8)
@@ -102,12 +111,41 @@ def test_budget_exhausted(octagon):
         find_unique_closed(octagon, 0)
 
 
-def test_verify_stationarity(octagon):
-    for g in (
-        shorten(octagon, Loop([Crossing(0, True, 0.3)])),
-        find_unique_closed(octagon, 200),
+def test_verify_stationarity(octagon, decagon):
+    for s, g in (
+        (octagon, shorten(octagon, Loop([Crossing(0, True, 0.3)]))),
+        (octagon, find_unique_closed(octagon, 200)),
+        # searches whose shortener fuses the anchors around the last arc
+        (octagon, find_unique_closed(octagon, 200, seed=1)),
+        (decagon, find_unique_closed(decagon, 200, seed=5)),
+        (decagon, find_unique_closed(decagon, 200, seed=6)),
+        (decagon, find_unique_closed(decagon, 200, seed=7)),
+        (decagon, find_unique_closed(decagon, 200, seed=11)),
     ):
-        assert verify_stationarity(octagon, g)
+        assert verify_stationarity(s, g)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shorten_results_verify(name):
+    # random closing words; every result must pass the independent check and,
+    # on these translation surfaces, be no shorter than the class holonomy
+    s = builtin(name)
+    rng = random.Random(20)
+    for _ in range(150):
+        length = rng.randint(2, 8)
+        face = start = rng.randrange(len(s.faces))
+        word = []
+        while len(word) < length or face != start:
+            nb = s.neighbours[face][rng.randrange(len(s.faces[face]))]
+            word.append(Crossing(nb.gluing, nb.forward, rng.uniform(0.05, 0.95)))
+            face = nb.face
+        try:
+            g = shorten(s, Loop(word), max_iters=1000)
+        except (NullHomotopicError, NoConvergenceError):
+            continue
+        assert verify_stationarity(s, g), word
+        h = word_holonomy(s, [(c.gluing, c.forward) for c in word])
+        assert g.period >= math.hypot(h.tx, h.ty) - 1e-9, word
 
 
 def test_certificate_text(octagon):
