@@ -193,16 +193,24 @@ def _cmd_develop(args):
     return 0
 
 
+def _shorten_word(s, args):
+    """Shorten the --word loop; a word that does not fit the surface is a usage error."""
+    try:
+        return shorten(s, Loop(_parse_word(args.word)))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_shorten(args):
     s = _load_surface(args)
-    g = shorten(s, Loop(_parse_word(args.word)))
+    g = _shorten_word(s, args)
     _write_artifact(args, "shorten.txt", certificate_text(s, g).rstrip("\n").split("\n"))
     return 0
 
 
 def _cmd_cylinder(args):
     s = _load_surface(args)
-    g = shorten(s, Loop(_parse_word(args.word)))
+    g = _shorten_word(s, args)
     try:
         cyl = flat_cylinder(s, g)
     except NotConeFreeError as exc:

@@ -68,12 +68,9 @@ def loop_length(s: ConeSurface, loop: Loop) -> float:
     """Length of the piecewise-geodesic loop as given (before shortening)."""
     word = loop.crossings
     # slot j is the face between crossings j-1 and j; slot 0 is the base face
-    places = places_along(s, [(c.gluing, c.forward) for c in word])
+    places, edges = _corridor(s, word)
     chain = []
-    for k, c in enumerate(word):
-        e0, e1, _, _ = _canonical_edge(s, c)
-        p0 = places[k].apply(*e0)
-        p1 = places[k].apply(*e1)
+    for k, (c, (p0, p1, _, _)) in enumerate(zip(word, edges)):
         chain.append((p0[0] + c.t * (p1[0] - p0[0]), p0[1] + c.t * (p1[1] - p0[1])))
         for idx, (kx, ky) in loop.kinks:
             if idx == k:
@@ -109,44 +106,49 @@ class FlatCylinder:
 # ---------------------------------------------------------------------------
 # word utilities
 
-def _letter_sides(s: ConeSurface, c: Crossing):
-    a, b = s.gluings[c.gluing]
-    return (a, b) if c.forward else (b, a)
+def _step(s: ConeSurface, c: Crossing):
+    """(face, edge) the letter leaves through, and the Neighbour it enters."""
+    face, edge = s.gluings[c.gluing][not c.forward]
+    return face, edge, s.neighbours[face][edge]
 
 
 def pre_face(s, c: Crossing) -> int:
-    return _letter_sides(s, c)[0][0]
+    return _step(s, c)[0]
 
 
 def post_face(s, c: Crossing) -> int:
-    return _letter_sides(s, c)[1][0]
+    return _step(s, c)[2].face
 
 
-def _canonical_edge(s: ConeSurface, c: Crossing):
-    """Endpoints (E0, E1) in the pre-face chart with lerp(E0, E1, t) = crossing point,
-    and the pre-face vertex indices of the two endpoints."""
-    (fa, ea), (fb, eb) = s.gluings[c.gluing]
-    if c.forward:
-        p0, p1 = s.edge_endpoints(fa, ea)
-        na = len(s.faces[fa])
-        return p0, p1, (fa, ea), (fa, (ea + 1) % na)
-    q0, q1 = s.edge_endpoints(fb, eb)
-    nb = len(s.faces[fb])
-    # side-A param t corresponds to lerp(B1, B0, t)
-    return q1, q0, (fb, (eb + 1) % nb), (fb, eb)
+def _endpoint_corners(s: ConeSurface, c: Crossing):
+    """(corner_in, corner_out) of endpoints 0 and 1 of a crossing, indexed by `which`.
+
+    Endpoint 0 starts the side-A directed edge, so a crossing's param t runs
+    from endpoint 0 to endpoint 1; corner_in is in the face the letter leaves,
+    corner_out in the face it enters.
+    """
+    face, edge, nb = _step(s, c)
+    n, m = len(s.faces[face]), len(s.faces[nb.face])
+    corners = []
+    for which in (0, 1):
+        k = which if c.forward else 1 - which
+        corners.append(((face, (edge + k) % n), (nb.face, (nb.edge + 1 - k) % m)))
+    return corners
 
 
-def _endpoint_corners(s: ConeSurface, c: Crossing, which: int):
-    """(corner_in, corner_out) of canonical endpoint `which` (0 or 1) of a crossing."""
-    (fa, ea), (fb, eb) = s.gluings[c.gluing]
-    na, nb = len(s.faces[fa]), len(s.faces[fb])
-    if c.forward:
-        if which == 0:
-            return (fa, ea), (fb, (eb + 1) % nb)
-        return (fa, (ea + 1) % na), (fb, eb)
-    if which == 0:
-        return (fb, (eb + 1) % nb), (fa, ea)
-    return (fb, eb), (fa, (ea + 1) % na)
+def _corridor(s: ConeSurface, word: list[Crossing]):
+    """Placements along the word and each crossing edge (P0, P1, corner0, corner1).
+
+    P0 and P1 are the developed endpoints 0 and 1 (lerp(P0, P1, t) is the
+    crossing point) and corner0, corner1 their corners in the face left.
+    """
+    places = places_along(s, [(c.gluing, c.forward) for c in word])
+    edges = []
+    for place, c in zip(places, word):
+        (corner0, _), (corner1, _) = _endpoint_corners(s, c)
+        poly = s.faces[corner0[0]]
+        edges.append((place.apply(*poly[corner0[1]]), place.apply(*poly[corner1[1]]), corner0, corner1))
+    return places, edges
 
 
 def cyclic_reduce(s: ConeSurface, word: list[Crossing]) -> list[Crossing]:
@@ -166,6 +168,10 @@ def cyclic_reduce(s: ConeSurface, word: list[Crossing]) -> list[Crossing]:
 
 
 def validate_word(s: ConeSurface, word: list[Crossing]):
+    for i, c in enumerate(word):
+        if not 0 <= c.gluing < len(s.gluings):
+            raise ValueError(f"crossing word names gluing {c.gluing} at position {i}; "
+                             f"the surface has gluings 0..{len(s.gluings) - 1}")
     for i, c in enumerate(word):
         nxt = word[(i + 1) % len(word)]
         if post_face(s, c) != pre_face(s, nxt):
@@ -216,6 +222,7 @@ class _Shortener:
         self.arcs: list[_Arc] = []
         # cyclic (anchor-free) state
         self.places = None
+        self.edges = None
         self.axis_offset = None
         self.axis_dir = None
         self.holonomy = None
@@ -232,22 +239,21 @@ class _Shortener:
     def _tighten_cyclic(self):
         """Fit an invariant axis through the corridor; returns a violation or None."""
         s = self.s
-        word = self.word
-        places = places_along(s, [(c.gluing, c.forward) for c in word])
+        places, edges = _corridor(s, self.word)
         H = places[-1]
         self.places = places
+        self.edges = edges
         self.holonomy = H
         if abs(H.rot) > 1e-7:
             # rotational holonomy has no axis; pin the corridor vertex nearest
             # the fixed point of the rotation
             cx, cy = _rotation_fixed_point(H)
             best = None
-            for k, c in enumerate(word):
-                e0, e1, v0, v1 = _canonical_edge(s, c)
-                for which, (pt, corner) in enumerate(((e0, v0), (e1, v1))):
-                    px, py = places[k].apply(*pt)
+            for k, edge in enumerate(edges):
+                for which in (0, 1):
+                    px, py = edge[which]
                     d = math.hypot(px - cx, py - cy)
-                    if (best is None or d < best[0]) and s.is_conical(s.vertex_class[corner]):
+                    if (best is None or d < best[0]) and s.is_conical(s.vertex_class[edge[2 + which]]):
                         best = (d, k, which)
             if best is None:
                 raise NoConvergenceError(0)
@@ -256,23 +262,18 @@ class _Shortener:
         tl = math.hypot(ux, uy)
         if tl <= 100 * s.eps_geom:
             raise NullHomotopicError("holonomy is the identity")
-        ux, uy = ux / tl, uy / tl
-        self.axis_dir = (ux, uy)
+        self.axis_dir = (ux / tl, uy / tl)
 
-        def crossval(p):
-            return ux * p[1] - uy * p[0]
-
+        crossval = _crossval(self.axis_dir)
         intervals = []
-        for k, c in enumerate(word):
-            e0, e1, _, _ = _canonical_edge(s, c)
-            c0 = crossval(places[k].apply(*e0))
-            c1 = crossval(places[k].apply(*e1))
+        for p0, p1, _, _ in edges:
+            c0 = crossval(p0)
+            c1 = crossval(p1)
             intervals.append((min(c0, c1), max(c0, c1), c0, c1))
         lo = max(iv[0] for iv in intervals)
         hi = min(iv[1] for iv in intervals)
         if lo <= hi:
-            self.axis_offset = 0.5 * (lo + hi)
-            self._cyclic_params()
+            self.set_axis(0.5 * (lo + hi))
             return None
         mid = 0.5 * (lo + hi)
         worst, at = -1.0, None
@@ -284,20 +285,13 @@ class _Shortener:
                 at = (k, which)
         return ("snap_cyclic", at[0], at[1])
 
-    def _cyclic_params(self):
-        s, word, places = self.s, self.word, self.places
-        ux, uy = self.axis_dir
-        c = self.axis_offset
-
-        def crossval(p):
-            return ux * p[1] - uy * p[0]
-
+    def set_axis(self, c: float):
+        """Put the axis at offset c and cross each corridor edge on it."""
+        self.axis_offset = c
+        crossval = _crossval(self.axis_dir)
         self.params = []
         pts = []
-        for k, cr in enumerate(word):
-            e0, e1, _, _ = _canonical_edge(s, cr)
-            p0 = places[k].apply(*e0)
-            p1 = places[k].apply(*e1)
+        for p0, p1, _, _ in self.edges:
             c0, c1 = crossval(p0), crossval(p1)
             tau = 0.5 if c1 == c0 else (c - c0) / (c1 - c0)
             self.params.append(tau)
@@ -309,7 +303,7 @@ class _Shortener:
 
     def _tighten_arc(self, arc: _Arc):
         s = self.s
-        places = places_along(s, [(c.gluing, c.forward) for c in arc.word])
+        places, edges = _corridor(s, arc.word)
         arc.places = places
         f0, v0 = arc.start_corner
         p_start = s.faces[f0][v0]
@@ -319,12 +313,10 @@ class _Shortener:
         bx, by = p_end
         mx, my = bx - ax, by - ay
         pts = [p_start]
+        params = []
         violation = None
         worst = 0.0
-        for k, cr in enumerate(arc.word):
-            e0, e1, cv0, cv1 = _canonical_edge(s, cr)
-            p0 = places[k].apply(*e0)
-            p1 = places[k].apply(*e1)
+        for k, (p0, p1, cv0, cv1) in enumerate(edges):
             ex, ey = p1[0] - p0[0], p1[1] - p0[1]
             den = ex * my - ey * mx
             if abs(den) < 1e-300:
@@ -348,33 +340,24 @@ class _Shortener:
                         if 1.0 > worst:
                             worst = 1.0
                             violation = ("snap_arc", arc, k, which)
+            params.append(tau)
             pts.append((p0[0] + tau * (p1[0] - p0[0]), p0[1] + tau * (p1[1] - p0[1])))
         pts.append(p_end)
         arc.points = pts
-        arc.params = [self._param_at(arc, k) for k in range(len(arc.word))]
+        arc.params = params
         arc.length = sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
         return violation
-
-    def _param_at(self, arc, k):
-        s = self.s
-        e0, e1, _, _ = _canonical_edge(s, arc.word[k])
-        p0 = arc.places[k].apply(*e0)
-        p1 = arc.places[k].apply(*e1)
-        q = arc.points[k + 1]
-        ex, ey = p1[0] - p0[0], p1[1] - p0[1]
-        ee = ex * ex + ey * ey
-        return 0.5 if ee == 0 else ((q[0] - p0[0]) * ex + (q[1] - p0[1]) * ey) / ee
 
     # -- state transformations ----------------------------------------------
 
     def _snap_cyclic(self, k: int, which: int):
         """Pin crossing k of the cyclic word to its canonical endpoint `which`."""
-        corner_in, corner_out = _endpoint_corners(self.s, self.word[k], which)
+        corner_in, corner_out = _endpoint_corners(self.s, self.word[k])[which]
         word = self.word[k + 1 :] + self.word[:k]
         self.arcs = [_Arc(word, corner_out, corner_in)]
 
     def _snap_arc(self, arc: _Arc, k: int, which: int):
-        corner_in, corner_out = _endpoint_corners(self.s, arc.word[k], which)
+        corner_in, corner_out = _endpoint_corners(self.s, arc.word[k])[which]
         j = self.arcs.index(arc)
         left = _Arc(arc.word[:k], arc.start_corner, corner_in)
         right = _Arc(arc.word[k + 1 :], corner_out, arc.end_corner)
@@ -445,7 +428,7 @@ class _Shortener:
                 violation = self._tighten_cyclic()
                 if violation is not None:
                     _, k, which = violation
-                    corner_in, _ = _endpoint_corners(s, self.word[k], which)
+                    corner_in, _ = _endpoint_corners(s, self.word[k])[which]
                     if not s.is_conical(s.vertex_class[corner_in]):
                         raise NoConvergenceError(it)
                     self._snap_cyclic(k, which)
@@ -460,7 +443,7 @@ class _Shortener:
                 continue
             if violation is not None:
                 _, arc, k, which = violation
-                corner_in, _ = _endpoint_corners(s, arc.word[k], which)
+                corner_in, _ = _endpoint_corners(s, arc.word[k])[which]
                 if not s.is_conical(s.vertex_class[corner_in]):
                     raise NoConvergenceError(it)
                 self._snap_arc(arc, k, which)
@@ -481,6 +464,12 @@ class _Shortener:
         raise NoConvergenceError(self.max_iters)
 
 
+def _crossval(u):
+    """Signed offset of a developed point across the unit axis direction u."""
+    ux, uy = u
+    return lambda p: ux * p[1] - uy * p[0]
+
+
 def _rotation_fixed_point(iso: PlaneIsometry):
     c, s_ = math.cos(iso.rot), math.sin(iso.rot)
     # solve (I - R) p = t
@@ -498,16 +487,12 @@ def shorten(
     max_iters: int = 100_000,
 ) -> ClosedGeodesic:
     """Shortest representative of the loop's free homotopy class."""
-    if isinstance(loop, ClosedGeodesic):
-        word = list(loop.crossings)
-        anchors = list(loop.anchors)
-    else:
-        word = list(loop.crossings)
-        anchors = []
+    word = list(loop.crossings)
+    anchors = loop.anchors if isinstance(loop, ClosedGeodesic) else []
+    validate_word(s, word)
     word = cyclic_reduce(s, word)
     if not word:
         raise NullHomotopicError("crossing word reduces to nothing")
-    validate_word(s, word)
     if not anchors:
         hol = word_holonomy(s, [(c.gluing, c.forward) for c in word])
         if abs(hol.rot) <= 1e-9 and math.hypot(hol.tx, hol.ty) <= 100 * s.eps_geom:
@@ -515,21 +500,25 @@ def shorten(
 
     sh = _Shortener(s, word, max_iters)
     sh.run()
-    return _assemble(s, sh)
+    return _assemble_anchored(s, sh) if sh.arcs else _assemble_cyclic(s, sh)
 
 
-def _assemble(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
-    if not sh.arcs:
-        return _assemble_cyclic(s, sh)
-    return _assemble_anchored(s, sh)
+def _chart_segment(face: int, place: PlaneIsometry, a, b) -> Segment:
+    """Segment from developed point a to b, in the chart of a face copy placed by `place`."""
+    inv = place.inverse()
+    direction = norm_angle(math.atan2(b[1] - a[1], b[0] - a[0]) - place.rot)
+    return Segment(face, inv.apply(*a), inv.apply(*b), math.dist(a, b), direction)
+
+
+def _cycle(segments: list[Segment], events: list, period: float) -> GeodesicPath:
+    """Closed path starting and ending where its first segment starts."""
+    first = segments[0]
+    start = TangentState(first.face, first.entry[0], first.entry[1], first.direction)
+    return GeodesicPath(start, start, segments, events, period)
 
 
 def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
     word, places, H = sh.word, sh.places, sh.holonomy
-    ux, uy = sh.axis_dir
-
-    def crossval(p):
-        return ux * p[1] - uy * p[0]
 
     # cylinder widths about the axis, using one period of face copies plus guards
     slots = [(pre_face(s, word[0]), places[0])]
@@ -537,50 +526,35 @@ def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
         slots.append((post_face(s, c), places[k + 1]))
     cand = [p for face, place in slots for p in _placed_cone_vertices(s, face, place)]
     cand += [H.apply(*p) for p in cand] + [H.inverse().apply(*p) for p in cand]
+    crossval = _crossval(sh.axis_dir)
     offs = sorted({crossval(p) for p in cand})
     c_now = sh.axis_offset
     left = [o for o in offs if o > c_now + s.eps_geom]
     right = [o for o in offs if o < c_now - s.eps_geom]
     if left and right:
         c_star = 0.5 * (min(left) + max(right))
-        sh.axis_offset = c_star
-        sh._cyclic_params()
+        sh.set_axis(c_star)
         w_l = min(left) - c_star
         w_r = c_star - max(right)
     else:
         w_l = w_r = None
 
     pts = sh.points
-    period = sh.length
     segments = []
     events = []
     arc = 0.0
     m = len(word)
     for j in range(1, m + 1):
-        place = places[j]
-        inv = place.inverse()
-        a = pts[j - 1]
         b = pts[j] if j < m else H.apply(*pts[0])
-        entry = inv.apply(*a)
-        exit_ = inv.apply(*b)
-        seg_len = math.dist(a, b)
-        face = post_face(s, word[j - 1])
-        direction = norm_angle(math.atan2(b[1] - a[1], b[0] - a[0]) - place.rot)
-        segments.append(Segment(face, entry, exit_, seg_len, direction))
-        arc += seg_len
+        seg = _chart_segment(post_face(s, word[j - 1]), places[j], pts[j - 1], b)
+        segments.append(seg)
+        arc += seg.length
         cr = word[j % m]
-        trans = s.crossing_transition(cr.gluing, cr.forward)
-        events.append(EdgeCross(cr.gluing, cr.forward, trans, arc))
+        events.append(EdgeCross(cr.gluing, cr.forward, _step(s, cr)[2].placement, arc))
 
-    first_cr = word[0]
-    start_face = post_face(s, first_cr)
-    start_local = places[1].inverse().apply(*pts[0])
-    d0 = segments[0].direction
-    start = TangentState(start_face, start_local[0], start_local[1], d0)
-    cycle = GeodesicPath(start, start, segments, events, period, period)
     return ClosedGeodesic(
-        cycle, period, [], False, [replace(c, t=sh.params[k]) for k, c in enumerate(word)],
-        [], H, w_l, w_r,
+        _cycle(segments, events, sh.length), sh.length, [], False,
+        [replace(c, t=sh.params[k]) for k, c in enumerate(word)], [], H, w_l, w_r,
     )
 
 
@@ -590,26 +564,16 @@ def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
     passages = []
     crossings = []
     arc_len = 0.0
-    start = None
     for i, arc in enumerate(sh.arcs):
         pts = arc.points
-        places = arc.places
         for j in range(len(pts) - 1):
-            a, b = pts[j], pts[j + 1]
-            place = places[min(j, len(places) - 1)]
-            inv = place.inverse()
-            seg_len = math.dist(a, b)
             face = arc.start_corner[0] if j == 0 else post_face(s, arc.word[j - 1])
-            direction = norm_angle(math.atan2(b[1] - a[1], b[0] - a[0]) - place.rot)
-            seg = Segment(face, inv.apply(*a), inv.apply(*b), seg_len, direction)
-            if start is None:
-                start = TangentState(face, seg.entry[0], seg.entry[1], direction)
+            seg = _chart_segment(face, arc.places[j], pts[j], pts[j + 1])
             segments.append(seg)
-            arc_len += seg_len
+            arc_len += seg.length
             if j < len(arc.word):
                 cr = arc.word[j]
-                trans = s.crossing_transition(cr.gluing, cr.forward)
-                events.append(EdgeCross(cr.gluing, cr.forward, trans, arc_len))
+                events.append(EdgeCross(cr.gluing, cr.forward, _step(s, cr)[2].placement, arc_len))
                 crossings.append(replace(cr, t=arc.params[j]))
         # passage at the anchor that ends this arc
         nxt = (i + 1) % len(sh.arcs)
@@ -620,10 +584,9 @@ def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
         events.append(
             ConeHit(cid, arc_len, segments[-1].face, corner_in[1], segments[-1].direction)
         )
-    period = arc_len
-    cycle = GeodesicPath(start, start, segments, events, period, period)
     return ClosedGeodesic(
-        cycle, period, passages, True, crossings, list(sh.anchors), None, None, None
+        _cycle(segments, events, arc_len), arc_len, passages, True, crossings,
+        list(sh.anchors), None, None, None,
     )
 
 
@@ -673,9 +636,7 @@ def verify_stationarity(s: ConeSurface, g: ClosedGeodesic) -> bool:
             gl, gr = fresh._anchor_angles(i)
             if min(gl, gr) < math.pi - 10 * EPS_ANGLE:
                 return False
-        if abs(sum(a.length for a in fresh.arcs) - g.period) > 1e-6 * max(1.0, g.period):
-            return False
-        return True
+        return abs(sum(a.length for a in fresh.arcs) - g.period) <= 1e-6 * max(1.0, g.period)
     if fresh._tighten_cyclic() is not None:
         return False
     return abs(fresh.length - g.period) <= 1e-6 * max(1.0, g.period)

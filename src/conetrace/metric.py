@@ -57,7 +57,7 @@ class _ChordResult:
 
 
 def _chords(s: ConeSurface, roots, target, cap: float,
-            skip_zero: bool = False, max_depth: int | None = None) -> _ChordResult:
+            skip_zero: bool = False) -> _ChordResult:
     """Minimal realizable straight chords from the given sources.
 
     roots: list of (face, px, py, window, place) sources sharing one notional
@@ -65,8 +65,6 @@ def _chords(s: ConeSurface, roots, target, cap: float,
     per corner).  target: (face, x, y) or None.  Chords to the target and to
     every cone class are collected up to length `cap`.
     """
-    if max_depth is None:
-        max_depth = MAX_DEPTH
     res = _ChordResult()
     best_to_class = res.to_class
     heap = []
@@ -107,7 +105,7 @@ def _chords(s: ConeSurface, roots, target, cap: float,
             res.complete = False
             break
         consider(face, px, py, place, window, depth)
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             res.complete = False
             continue
         poly = s.faces[face]

@@ -97,19 +97,15 @@ class ConeSurface:
         return poly[edge], poly[(edge + 1) % len(poly)]
 
     def _build_transitions(self):
-        # transition[gi] maps side-A chart coordinates to side-B chart coordinates,
+        # to_b[gi] maps side-A chart coordinates to side-B chart coordinates,
         # matching the directed edges with reversed orientation (A start <-> B end).
-        self.transitions: list[PlaneIsometry] = []
-        self._crossings: list[tuple[PlaneIsometry, PlaneIsometry]] = []
-        for (fa, ea), (fb, eb) in self.gluings:
-            p0, p1 = self.edge_endpoints(fa, ea)
-            q0, q1 = self.edge_endpoints(fb, eb)
-            t = PlaneIsometry.mapping_segment(p0, p1, q1, q0)
-            self.transitions.append(t)
-            self._crossings.append((t.inverse(), t))
         # neighbours[face][edge]: the chart step out of `face` through `edge`;
         # edge_rows[face][edge]: (ax, ay, nx, ny, bx, by) with the outward normal
         # (unnormalized) of the CCW edge a->b
+        to_b = []
+        for a, b in self.gluings:
+            q0, q1 = self.edge_endpoints(*b)
+            to_b.append(PlaneIsometry.mapping_segment(*self.edge_endpoints(*a), q1, q0))
         self.neighbours: list[list[Neighbour]] = []
         self.edge_rows: list[list[tuple]] = []
         for fi, poly in enumerate(self.faces):
@@ -117,15 +113,12 @@ class ConeSurface:
             for e, (ax, ay) in enumerate(poly):
                 gi, is_a = self.edge_of[(fi, e)]
                 other = self.gluings[gi][1] if is_a else self.gluings[gi][0]
-                trans = self.crossing_transition(gi, is_a)
+                trans = to_b[gi] if is_a else to_b[gi].inverse()
                 nbs.append(Neighbour(gi, is_a, other[0], other[1], trans, trans.inverse()))
                 bx, by = poly[(e + 1) % len(poly)]
                 rows.append((ax, ay, by - ay, -(bx - ax), bx, by))
             self.neighbours.append(nbs)
             self.edge_rows.append(rows)
-
-    def crossing_transition(self, gluing: int, forward: bool) -> PlaneIsometry:
-        return self._crossings[gluing][forward]
 
     def _interior_angle(self, face: int, vertex: int) -> float:
         poly = self.faces[face]

@@ -45,7 +45,7 @@ class Segment:
 class EdgeCross:
     gluing: int
     forward: bool
-    transition: PlaneIsometry
+    placement: PlaneIsometry  # entered chart -> leaving chart
     arc_length: float
 
 
@@ -60,7 +60,6 @@ class ConeHit:
 
 @dataclass
 class TraceOptions:
-    eps_vertex: float | None = None  # capture radius; defaults to surface.eps_vertex
     max_events: int = 1_000_000
     cone_policy: str = "stop"  # "stop" | "error"
 
@@ -72,7 +71,6 @@ class GeodesicPath:
     segments: list[Segment]
     events: list
     length: float
-    closed_flag: float | None = None
 
     @property
     def cone_hits(self):
@@ -88,7 +86,7 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
     if length < 0:
         raise ValueError("length must be nonnegative")
     opts = opts or TraceOptions()
-    eps_v = opts.eps_vertex if opts.eps_vertex is not None else s.eps_vertex
+    eps_v = s.eps_vertex
     if not s.contains(SurfacePoint(start.face, start.x, start.y), tol=10 * s.eps_geom):
         raise ValueError("start point is not inside its face")
 
@@ -96,13 +94,11 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
     px, py = start.x, start.y
     d = norm_angle(start.direction)
     dx, dy = math.cos(d), math.sin(d)
-    s0x, s0y, d0 = start.x, start.y, d
 
     segments: list[Segment] = []
     events: list = []
     arc = 0.0
     remaining = length
-    closed_flag = None
     guard = -100.0 * s.eps_geom
 
     while True:
@@ -122,21 +118,13 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
 
         if best_t >= remaining or best_e < 0:
             qx, qy = px + remaining * dx, py + remaining * dy
-            seg = Segment(face, (px, py), (qx, qy), remaining, d)
-            segments.append(seg)
-            closed_flag = closed_flag or _closure_on_segment(
-                s, seg, arc, face, d, s0x, s0y, d0, start.face
-            )
+            segments.append(Segment(face, (px, py), (qx, qy), remaining, d))
             arc += remaining
             px, py = qx, qy
             break
 
         qx, qy = px + best_t * dx, py + best_t * dy
-        seg = Segment(face, (px, py), (qx, qy), best_t, d)
-        segments.append(seg)
-        closed_flag = closed_flag or _closure_on_segment(
-            s, seg, arc, face, d, s0x, s0y, d0, start.face
-        )
+        segments.append(Segment(face, (px, py), (qx, qy), best_t, d))
         arc += best_t
         remaining -= best_t
 
@@ -162,29 +150,14 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
 
         nb = s.neighbours[face][best_e]
         trans = nb.transition
-        events.append(EdgeCross(nb.gluing, nb.forward, trans, arc))
+        events.append(EdgeCross(nb.gluing, nb.forward, nb.placement, arc))
         px, py = trans.apply(qx, qy)
         d = trans.apply_dir(d)
         dx, dy = math.cos(d), math.sin(d)
         face = nb.face
 
     end = TangentState(face, px, py, d)
-    return GeodesicPath(start, end, segments, events, arc, closed_flag)
-
-
-def _closure_on_segment(s, seg, arc_at_entry, face, d, s0x, s0y, d0, start_face):
-    """First-return period if the segment passes through the start state."""
-    if face != start_face or abs(ang_diff(d, d0)) > 1e-9:
-        return None
-    ex, ey = seg.entry
-    ux, uy = math.cos(d), math.sin(d)
-    proj = (s0x - ex) * ux + (s0y - ey) * uy
-    if proj <= s.eps_geom or proj > seg.length + s.eps_geom:
-        return None
-    perp = abs(-(s0x - ex) * uy + (s0y - ey) * ux)
-    if perp > 10 * s.eps_geom:
-        return None
-    return arc_at_entry + proj
+    return GeodesicPath(start, end, segments, events, arc)
 
 
 def state_at(path: GeodesicPath, t: float) -> TangentState:
@@ -237,7 +210,7 @@ def time_shift(path: GeodesicPath, t: float) -> GeodesicPath:
     for ev in path.events:
         if ev.arc_length >= t - 1e-15:
             events.append(replace(ev, arc_length=ev.arc_length - t))
-    return GeodesicPath(new_start, path.end, segments, events, path.length - t, None)
+    return GeodesicPath(new_start, path.end, segments, events, path.length - t)
 
 
 def reverse(path: GeodesicPath) -> GeodesicPath:
@@ -251,13 +224,13 @@ def reverse(path: GeodesicPath) -> GeodesicPath:
     for ev in reversed(path.events):
         if isinstance(ev, EdgeCross):
             events.append(
-                EdgeCross(ev.gluing, not ev.forward, ev.transition.inverse(), L - ev.arc_length)
+                EdgeCross(ev.gluing, not ev.forward, ev.placement.inverse(), L - ev.arc_length)
             )
         else:
             events.append(replace(ev, arc_length=L - ev.arc_length))
     start = TangentState(path.end.face, path.end.x, path.end.y, norm_angle(path.end.direction + math.pi))
     end = TangentState(path.start.face, path.start.x, path.start.y, norm_angle(path.start.direction + math.pi))
-    return GeodesicPath(start, end, segments, events, L, path.closed_flag)
+    return GeodesicPath(start, end, segments, events, L)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +249,7 @@ def develop(path: GeodesicPath):
     isos = [PlaneIsometry.identity()]
     for ev in path.events:
         if isinstance(ev, EdgeCross):
-            isos.append(isos[-1].compose(ev.transition.inverse()))
+            isos.append(isos[-1].compose(ev.placement))
     polyline = []
     if path.segments:
         polyline.append(isos[0].apply(*path.segments[0].entry))
@@ -297,11 +270,7 @@ def holonomy(s: ConeSurface, loop: GeodesicPath) -> PlaneIsometry:
         or abs(ang_diff(a.direction, b.direction)) > 1e-7
     ):
         raise NotALoopError("path does not return to its initial state")
-    iso = PlaneIsometry.identity()
-    for ev in loop.events:
-        if isinstance(ev, EdgeCross):
-            iso = iso.compose(ev.transition.inverse())
-    return iso
+    return places_along(s, [(ev.gluing, ev.forward) for ev in loop.edge_crossings])[-1]
 
 
 def word_holonomy(s: ConeSurface, word: list[tuple[int, bool]]) -> PlaneIsometry:

@@ -90,6 +90,27 @@ def test_cylinder_artifact(tmp_path):
     assert "width_left 0.3826834323650894" in text  # sin(pi/8)
 
 
+@pytest.mark.parametrize("cmd", ["shorten", "cylinder"])
+@pytest.mark.parametrize("word", ["7+", "-1+"])
+def test_word_outside_gluings(capsys, tmp_path, cmd, word):
+    # the decagon has gluings 0..4; -1 must not wrap around to the last one
+    assert run(tmp_path, cmd, "--builtin", "decagon4pi4pi", f"--word={word}") == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_word_breaks_face_chain(capsys, tmp_path):
+    # two unit squares; gluing 0 leads from face 0 into face 1, so "0+" does not close
+    surf = tmp_path / "two_squares.surf"
+    surf.write_text(
+        "surface two_squares\nface 0 4 0 0 1 0 1 1 0 1\nface 1 4 0 0 1 0 1 1 0 1\n"
+        "glue 0.0 1.2\nglue 0.2 1.0\nglue 0.1 1.3\nglue 0.3 1.1\n"
+    )
+    assert run(tmp_path, "shorten", str(surf), "--word", "0+") == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "shorten.txt").exists()
+
+
 def test_unique_search_artifact(tmp_path):
     assert run(tmp_path, "unique-search", "--builtin", "octagon6pi", "--budget", "200") == 0
     text = read(tmp_path, "unique.txt")
@@ -171,10 +192,25 @@ GOLDEN = [
       "--x", "0,0,0", "--x-prime", "0,0,0.15"]),
     ("shorten.txt", "f48235eb4a2bd9a5b186c2ffd4ce53807c900a5e3ae6921d1a5386fc36f00f99",
      ["shorten", "--builtin", "octagon6pi", "--word", "0+"]),
+    # both unique-search certificates come from the anchored (through-cone) assembly
+    ("unique.txt", "10eb7e08607443a8ba3695ee804aad3e72aa68305a1d6a7daba26a081051dea7",
+     ["unique-search", "--builtin", "octagon6pi", "--budget", "200"]),
+    ("unique.txt", "9d13bfff19af72a73ea60bb47ab5675c4186620f4146f6ea142038ffbcddc18e",
+     ["unique-search", "--builtin", "decagon4pi4pi", "--budget", "200", "--seed", "5"]),
+    ("cylinder.txt", "e3bb846051580c65cb5aa2d338ec88157638edf39ea62373635281895a2684ba",
+     ["cylinder", "--builtin", "octagon6pi", "--word", "0+"]),
+    ("converge.csv", "8635e0d85794198b7e8021392acbffac6d6a9ed891e4762fa98454274050d682",
+     ["converge", "--builtin", "octagon6pi", "--start1", "0,-0.025", "--start2", "0,0.025",
+      "--horizon", "20", "--samples", "9"]),
+    ("mix.csv", "187b4e05c888081e67e59faae8e515ff4e817199f18605439b0e9b8cccb80198",
+     ["mix", "--builtin", "octagon6pi", "--cell-o", "0,4,8,10", "--cell-u", "0,11,8,10",
+      "--horizon", "50", "--dt", "2", "--samples", "20"]),
 ]
+# the artifact name identifies a case, and the surface tells the two unique-search ones apart
+GOLDEN_IDS = [f"{g[0]}-{g[2][2]}" if g[0] == "unique.txt" else g[0] for g in GOLDEN]
 
 
-@pytest.mark.parametrize("name,digest,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+@pytest.mark.parametrize("name,digest,argv", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_artifact(tmp_path, name, digest, argv):
     assert run(tmp_path, *argv) == 0
     body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]

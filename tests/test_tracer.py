@@ -94,12 +94,20 @@ def test_develop_single_face(octagon):
     assert isos[0].almost_equal(isos[0].identity(), 1e-12)
 
 
-def test_develop_is_isometric(octagon):
+def test_develop_is_isometric(octagon, decagon):
     p = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 2.5)
     isos, polyline = develop(p)
     assert math.dist(polyline[0], polyline[-1]) == pytest.approx(2.5, abs=1e-9)
     # translation gluing: no rotation picked up
     assert abs(isos[-1].rot) < 1e-12
+    # reversed multi-crossing traces must carry chart placements that develop straight
+    for s in (octagon, decagon):
+        for direction in (0.3, 1.1, 2.0, 4.4):
+            p = trace(s, TangentState(0, 0.1, -0.05, direction), 12.0)
+            assert not p.cone_hits and len(p.edge_crossings) >= 5
+            for q in (p, reverse(p)):
+                _, polyline = develop(q)
+                assert math.dist(polyline[0], polyline[-1]) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_scattered_continuation_traces(octagon):
@@ -111,10 +119,10 @@ def test_scattered_continuation_traces(octagon):
 def test_holonomy_mid_loop(octagon):
     period = 2 * APOTHEM
     loop = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), period)
-    assert loop.closed_flag is not None
     h = holonomy(octagon, loop)
     assert abs(h.rot) < 1e-12
     assert (h.tx, h.ty) == pytest.approx((period, 0.0), abs=1e-9)
+    assert holonomy(octagon, reverse(loop)).almost_equal(h.inverse(), 1e-12)
 
 
 def test_holonomy_requires_loop(octagon):
