@@ -22,7 +22,7 @@ from .closed import (
     shorten,
 )
 from .errors import ConetraceError, NotConeFreeError
-from .metric import busemann, convergence_profile, equidistant_reparam, local_distance
+from .metric import busemann, convergence_profile, equidistant_reparam
 from .dynamics import PhaseCell, cone_approach_experiment, hit_times, transitivity_scan
 from .surface import (
     BUILTIN_NAMES,
@@ -33,7 +33,7 @@ from .surface import (
     serialize,
     validate,
 )
-from .tracer import TangentState, TraceOptions, develop, trace
+from .tracer import TangentState, develop, trace
 
 
 class UsageError(Exception):
@@ -142,11 +142,17 @@ def _cmd_gb_audit(args):
     return 0
 
 
+def _trace(s, start, length):
+    """Trace from a command-line start; a start outside its face is a usage error."""
+    try:
+        return trace(s, start, length)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _trace_from_args(s, args):
     x, y = _parse_pair(args.start, "--start")
-    st = TangentState(args.face, x, y, args.direction)
-    opts = TraceOptions()
-    return trace(s, st, args.length, opts)
+    return _trace(s, TangentState(args.face, x, y, args.direction), args.length)
 
 
 def _event_rows(path):
@@ -235,7 +241,7 @@ def _cmd_unique_search(args):
 def _cmd_busemann(args):
     s = _load_surface(args)
     rx, ry = _parse_pair(args.ray_start, "--ray-start")
-    ray = trace(s, TangentState(args.ray_face, rx, ry, args.ray_dir), args.horizon)
+    ray = _trace(s, TangentState(args.ray_face, rx, ry, args.ray_dir), args.horizon)
     x = _parse_point(args.x, "--x")
     xp = _parse_point(args.x_prime, "--x-prime")
     schedule = [float(v) for v in args.schedule.split(",")] if args.schedule else None
@@ -252,8 +258,8 @@ def _cmd_converge(args):
     s = _load_surface(args)
     x1, y1 = _parse_pair(args.start1, "--start1")
     x2, y2 = _parse_pair(args.start2, "--start2")
-    g1 = trace(s, TangentState(args.face1, x1, y1, args.dir1), args.horizon * 1.5)
-    g2 = trace(s, TangentState(args.face2, x2, y2, args.dir2), args.horizon * 1.5)
+    g1 = _trace(s, TangentState(args.face1, x1, y1, args.dir1), args.horizon * 1.5)
+    g2 = _trace(s, TangentState(args.face2, x2, y2, args.dir2), args.horizon * 1.5)
     c = equidistant_reparam(s, g1, g2)
     if abs(c) > 1e-12:
         from .tracer import time_shift

@@ -77,6 +77,14 @@ class ExceedsRadiusError(ConetraceError):
         self.best = best
 
 
+class SearchTruncatedError(ConetraceError):
+    def __init__(self, nodes: int):
+        super().__init__(
+            f"unfolding search stopped at its node budget or depth cap after {nodes} nodes"
+        )
+        self.nodes = nodes
+
+
 class ConeOnRayError(ConetraceError):
     pass
 

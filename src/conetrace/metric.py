@@ -23,11 +23,14 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConeOnRayError, ExceedsRadiusError, NoBracketError
+from .errors import ConeOnRayError, ExceedsRadiusError, NoBracketError, SearchTruncatedError
 from .geom import (
     PlaneIsometry,
     ang_diff,
+    centroid,
+    circumradius,
     dist_point_segment,
+    point_in_convex,
     subtend,
     window_contains,
     window_intersect,
@@ -39,13 +42,9 @@ MAX_DEPTH = 64
 NODE_BUDGET = 1_000_000
 
 
-def _place_key(place: PlaneIsometry):
-    return (
-        round(math.cos(place.rot) * 1e7),
-        round(math.sin(place.rot) * 1e7),
-        round(place.tx * 1e7),
-        round(place.ty * 1e7),
-    )
+def _place_key(c: float, sn: float, tx: float, ty: float):
+    """Key of a placement: its cos, sin and translation rounded to 1e-7."""
+    return (round(c * 1e7), round(sn * 1e7), round(tx * 1e7), round(ty * 1e7))
 
 
 @dataclass
@@ -56,14 +55,31 @@ class _ChordResult:
     nodes: int = 0
 
 
+def _placed_face(place: PlaneIsometry, c: float, sn: float, poly):
+    """The polygon `place` places, given the cos/sin of place.rot.
+
+    The vertices use the expressions of PlaneIsometry.apply, so they are
+    bit-equal to placing each vertex on its own; one trig pair serves the
+    whole face copy.
+    """
+    tx, ty = place.tx, place.ty
+    return [(c * x - sn * y + tx, sn * x + c * y + ty) for x, y in poly]
+
+
 def _chords(s: ConeSurface, roots, target, cap: float,
             skip_zero: bool = False) -> _ChordResult:
     """Minimal realizable straight chords from the given sources.
 
     roots: list of (face, px, py, window, place) sources sharing one notional
     origin (a point gets one full-circle root; a cone apex gets one wedge root
-    per corner).  target: (face, x, y) or None.  Chords to the target and to
-    every cone class are collected up to length `cap`.
+    per corner).  target: (face, x, y) or None.  The search is best-first by
+    the distance to a node's entry edge and stops at `cap` or, once a chord to
+    the target is known, at that chord: a node farther out cannot shorten it
+    (the pruning rule of window propagation).  So `to_target` is the minimal
+    chord to the target of length at most `cap`, while `to_class` is exact
+    only for the cone classes closer than `to_target`; a class farther out
+    may be missing or carry a longer chord.  `complete` is False when the
+    node budget or the depth cap cut the search short.
     """
     res = _ChordResult()
     best_to_class = res.to_class
@@ -76,15 +92,25 @@ def _chords(s: ConeSurface, roots, target, cap: float,
     if target is not None and isinstance(target, SurfacePoint):
         target = (target.face, target.x, target.y)
 
-    def consider(face, px, py, place, window, depth):
+    while heap:
+        lb, _, face, px, py, place, entry, window, depth = heapq.heappop(heap)
+        if lb > cap or lb > res.to_target:
+            break
+        res.nodes += 1
+        if res.nodes > NODE_BUDGET:
+            res.complete = False
+            break
+        c, sn = math.cos(place.rot), math.sin(place.rot)
+        placed = _placed_face(place, c, sn, s.faces[face])
         if target is not None and face == target[0]:
-            tx, ty = place.apply(target[1], target[2])
-            d = math.hypot(tx - px, ty - py)
+            qx = c * target[1] - sn * target[2] + place.tx
+            qy = sn * target[1] + c * target[2] + place.ty
+            d = math.hypot(qx - px, qy - py)
             if d < res.to_target and d <= cap:
-                if depth == 0 or window_contains(window, math.atan2(ty - py, tx - px)):
+                if depth == 0 or window_contains(window, math.atan2(qy - py, qx - px)):
                     res.to_target = d
         for v in s.conical_vertices[face]:
-            vx, vy = place.apply(*s.faces[face][v])
+            vx, vy = placed[v]
             d = math.hypot(vx - px, vy - py)
             if skip_zero and d <= 1e-12:
                 continue
@@ -95,31 +121,20 @@ def _chords(s: ConeSurface, roots, target, cap: float,
                 continue
             if depth == 0 or window_contains(window, math.atan2(vy - py, vx - px)):
                 best_to_class[key] = d
-
-    while heap:
-        lb, _, face, px, py, place, entry, window, depth = heapq.heappop(heap)
-        if lb > cap:
-            break
-        res.nodes += 1
-        if res.nodes > NODE_BUDGET:
-            res.complete = False
-            break
-        consider(face, px, py, place, window, depth)
         if depth >= MAX_DEPTH:
             res.complete = False
             continue
-        poly = s.faces[face]
-        n = len(poly)
+        n = len(placed)
         for e in range(n):
             if e == entry:
                 continue
-            ax, ay = place.apply(*poly[e])
-            bx, by = place.apply(*poly[(e + 1) % n])
+            ax, ay = placed[e]
+            bx, by = placed[(e + 1) % n]
+            lb2 = dist_point_segment(px, py, ax, ay, bx, by)
+            if lb2 > cap or lb2 > res.to_target:
+                continue
             w2 = window_intersect(window, subtend(px, py, ax, ay, bx, by))
             if w2 is None:
-                continue
-            lb2 = dist_point_segment(px, py, ax, ay, bx, by)
-            if lb2 > cap:
                 continue
             nb = s.neighbours[face][e]
             heapq.heappush(
@@ -127,6 +142,13 @@ def _chords(s: ConeSurface, roots, target, cap: float,
                 (lb2, counter, nb.face, px, py, place.compose(nb.placement), nb.edge, w2, depth + 1),
             )
             counter += 1
+    return res
+
+
+def _complete(res: _ChordResult) -> _ChordResult:
+    """The search result, or SearchTruncatedError when a limit cut the search short."""
+    if not res.complete:
+        raise SearchTruncatedError(res.nodes)
     return res
 
 
@@ -150,14 +172,15 @@ def local_distance(s: ConeSurface, x: SurfacePoint, y: SurfacePoint, radius: flo
 
     Straight chords are combined with routes through cone apices by a Dijkstra
     whose hubs are the conical classes.  Raises ExceedsRadius when the distance
-    exceeds the radius (or the node budget is exhausted first).
+    exceeds the radius, and SearchTruncated when the node budget or the depth
+    cap stops an unfolding search before it could prove its answer minimal.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if x.face == y.face and x.x == y.x and x.y == y.y:
         return 0.0
 
-    first = _chords(s, _point_roots(s, x), y, radius)
+    first = _complete(_chords(s, _point_roots(s, x), y, radius))
     best = first.to_target
     dist = dict(first.to_class)
     settled: set[int] = set()
@@ -168,7 +191,7 @@ def local_distance(s: ConeSurface, x: SurfacePoint, y: SurfacePoint, radius: flo
         if c in settled or d > dist.get(c, math.inf) or d >= best or d > radius:
             continue
         settled.add(c)
-        leg = _chords(s, _class_roots(s, c), y, min(radius, best) - d, skip_zero=True)
+        leg = _complete(_chords(s, _class_roots(s, c), y, min(radius, best) - d, skip_zero=True))
         if d + leg.to_target < best:
             best = d + leg.to_target
         for c2, d2 in leg.to_class.items():
@@ -182,13 +205,16 @@ def local_distance(s: ConeSurface, x: SurfacePoint, y: SurfacePoint, radius: flo
 
 
 def shortest_saddle_connection(s: ConeSurface) -> float:
-    """Minimal positive distance between conical points (classes may coincide)."""
+    """Minimal positive distance between conical points (classes may coincide).
+
+    Raises SearchTruncated when the node budget or the depth cap stops a search.
+    """
     classes = s.conical_classes
     best = math.inf
     cap = 4.0 * s.diam_hint
     while math.isinf(best) and cap <= 64.0 * s.diam_hint:
         for c in classes:
-            res = _chords(s, _class_roots(s, c), None, cap, skip_zero=True)
+            res = _complete(_chords(s, _class_roots(s, c), None, cap, skip_zero=True))
             for d in res.to_class.values():
                 if d < best:
                     best = d
@@ -215,7 +241,13 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
     """All chart placements of target_face whose placed copy meets the radius disc."""
     if start_place is None:
         start_place = PlaneIsometry.identity()
-    seen = {(base.face,) + _place_key(start_place): None}
+    # a copy whose circumscribed disc misses the radius disc by more than the
+    # geometric tolerance has every edge beyond the radius, so it is skipped
+    # before its vertices are placed; rounding cannot flip that decision
+    discs = [(centroid(poly), circumradius(poly) + radius + s.eps_geom) for poly in s.faces]
+    # a dict, not a set: with ~10^5 keys its table takes less memory
+    seen = {(base.face,) + _place_key(math.cos(start_place.rot), math.sin(start_place.rot),
+                                      start_place.tx, start_place.ty): None}
     out = []
     frontier = [(base.face, start_place)]
     steps = 0
@@ -223,29 +255,31 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
         nxt = []
         for face, place in frontier:
             steps += 1
-            poly = s.faces[face]
-            n = len(poly)
-            placed = [place.apply(*poly[i]) for i in range(n)]
-            dmin = min(
-                dist_point_segment(base.x, base.y, *placed[i], *placed[(i + 1) % n])
-                for i in range(n)
-            )
-            inside = all(
-                (placed[(i + 1) % n][0] - placed[i][0]) * (base.y - placed[i][1])
-                - (placed[(i + 1) % n][1] - placed[i][1]) * (base.x - placed[i][0]) >= 0
-                for i in range(n)
-            )
-            if not inside and dmin > radius:
+            c, sn = math.cos(place.rot), math.sin(place.rot)
+            (cx, cy), reach = discs[face]
+            if math.hypot(c * cx - sn * cy + place.tx - base.x,
+                          sn * cx + c * cy + place.ty - base.y) > reach:
+                continue
+            placed = _placed_face(place, c, sn, s.faces[face])
+            # keep the copy when it holds the base or an edge comes within the radius
+            if not point_in_convex(placed, base.x, base.y) and not any(
+                dist_point_segment(base.x, base.y, *placed[i - 1], *placed[i]) <= radius
+                for i in range(len(placed))
+            ):
                 continue
             if face == target_face:
                 out.append(place)
             for nb in s.neighbours[face]:
-                child = place.compose(nb.placement)
-                key = (nb.face,) + _place_key(child)
+                # place.compose(nb.placement), built only for a copy not seen yet
+                q = nb.placement
+                rot = place.rot + q.rot
+                tx = c * q.tx - sn * q.ty + place.tx
+                ty = sn * q.tx + c * q.ty + place.ty
+                key = (nb.face,) + _place_key(math.cos(rot), math.sin(rot), tx, ty)
                 if key in seen:
                     continue
                 seen[key] = None
-                nxt.append((nb.face, child))
+                nxt.append((nb.face, PlaneIsometry(rot, tx, ty)))
         frontier = nxt
     return out
 

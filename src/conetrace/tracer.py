@@ -312,7 +312,7 @@ def cone_scatter(s: ConeSurface, hit: ConeHit, outgoing: float) -> TangentState:
 # ---------------------------------------------------------------------------
 # path comparison and cone-distance profiles
 
-def _arc_positions(polyline, lengths):
+def _arc_positions(lengths):
     """Cumulative arc lengths of the developed polyline vertices."""
     acc = [0.0]
     for L in lengths:
@@ -344,8 +344,8 @@ def compare_paths(g1: GeodesicPath, g2: GeodesicPath, horizon: float) -> float:
         raise ChartMismatchError("paths start in different faces")
     _, p1 = develop(g1)
     _, p2 = develop(g2)
-    acc1 = _arc_positions(p1, [s.length for s in g1.segments])
-    acc2 = _arc_positions(p2, [s.length for s in g2.segments])
+    acc1 = _arc_positions([s.length for s in g1.segments])
+    acc2 = _arc_positions([s.length for s in g2.segments])
     c1, c2 = g1.length / 2.0, g2.length / 2.0
     h = min(horizon, c1, c2)
     if h <= 0.0:

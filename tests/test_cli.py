@@ -111,6 +111,19 @@ def test_word_breaks_face_chain(capsys, tmp_path):
     assert not (tmp_path / "shorten.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--start", "5,5", "--len", "1"],
+    ["develop", "--start", "5,5", "--len", "1"],
+    ["busemann", "--ray-start", "5,5", "--horizon", "10", "--x", "0,0,0", "--x-prime", "0,0,0.1"],
+    ["converge", "--start1", "5,5", "--start2", "0,0.025", "--horizon", "5"],
+    ["converge", "--start1", "0,-0.025", "--start2", "5,5", "--horizon", "5"],
+], ids=["trace", "develop", "busemann", "converge-start1", "converge-start2"])
+def test_start_outside_face(capsys, tmp_path, argv):
+    assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
+    assert "usage error: start point is not inside its face" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unique_search_artifact(tmp_path):
     assert run(tmp_path, "unique-search", "--builtin", "octagon6pi", "--budget", "200") == 0
     text = read(tmp_path, "unique.txt")

@@ -1,4 +1,5 @@
 """Distances, saddle connections, Busemann estimates, reparametrization."""
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conetrace import (
+    ConetraceError,
     SurfacePoint,
     TangentState,
+    builtin,
     busemann,
     compare_paths,
     convergence_profile,
@@ -20,7 +23,8 @@ from conetrace import (
     time_shift,
     trace,
 )
-from conetrace.errors import ExceedsRadiusError, NoBracketError
+from conetrace import metric
+from conetrace.errors import ExceedsRadiusError, NoBracketError, SearchTruncatedError
 
 APOTHEM = math.cos(math.pi / 8)
 
@@ -354,3 +358,75 @@ def test_profile_matches_compare_paths_rate(octagon):
     c = equidistant_reparam(octagon, g1, trace(octagon, state_at(g1, 1.5), 15.0))
     g2 = time_shift(g1, c)
     assert compare_paths(time_shift(g1, c), g2, 4.0) == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# exactness gate: shortcuts in the unfolding search and the lift enumeration
+# must not move any output bit (sha256 of the repr of seeded outputs)
+
+EXACT_RADII = (0.3, 1.0, 2.0, 16.0)
+
+
+def _exactness_records(s, seed):
+    rng = np.random.default_rng(seed)
+    pts = [SurfacePoint(0, float(p.x), float(p.y)) for p in _random_points(s, rng, 10)]
+    pairs = [(pts[2 * k], pts[2 * k + 1]) for k in range(5)]
+    for p in pts[:3]:
+        # a near partner, so that the small radii find chords too
+        while True:
+            r, a = rng.uniform(0.05, 0.28), rng.uniform(0.0, 2 * math.pi)
+            q = SurfacePoint(0, p.x + float(r * math.cos(a)), p.y + float(r * math.sin(a)))
+            if s.contains(q):
+                break
+        pairs.append((p, q))
+    for cid in s.conical_classes:
+        # a straight chord past the apex, and a pair 3*pi apart around it
+        for sep in (1.0, 3 * math.pi):
+            pairs.append((s.cone_chart_point(cid, 0.2, 0.1), s.cone_chart_point(cid, 0.2, 0.1 + sep)))
+    rec = []
+    for a, b in pairs:
+        for r in EXACT_RADII:
+            try:
+                rec.append(("d", r, local_distance(s, a, b, r)))
+            except ConetraceError as exc:
+                rec.append(("d", r, type(exc).__name__, getattr(exc, "best", None)))
+    for p in pts[:3]:
+        base = TangentState(0, p.x, p.y, 0.0)
+        for r in (0.5, 2.0):
+            rec.append(("lifts", r, metric._enumerate_lifts(s, base, 0, r)))
+    for a, b in pairs[:3]:
+        base = TangentState(0, a.x, a.y, 0.0)
+        rec.append(("lift", metric.lift_point(s, base, b)))
+        d = local_distance(s, a, b, 16.0)
+        rec.append(("lift_ref", metric.lift_point(s, base, b, ref_dist=d)))
+    return rec
+
+
+@pytest.mark.parametrize("name,seed,digest", [
+    ("octagon6pi", 41, "d8b3cecc643a947080f8be0d085a2662b3f21adb2b1bd5dfeb8bbd2276cae86a"),
+    ("decagon4pi4pi", 43, "ec7665073bba3f3f12b3a623988afbcecf2d620bde645becd3b47feb7df8f201"),
+])
+def test_distances_and_lifts_bit_exact(name, seed, digest):
+    rec = _exactness_records(builtin(name), seed)
+    assert hashlib.sha256(repr(rec).encode()).hexdigest() == digest
+
+
+def test_chord_search_stops_at_target(octagon):
+    # once the chord to the target is known, nodes farther out cannot shorten it
+    x, y = SurfacePoint(0, 0.1, -0.2), SurfacePoint(0, -0.15, 0.05)
+    roots = metric._point_roots(octagon, x)
+    to_y = metric._chords(octagon, roots, y, 16.0)
+    everything = metric._chords(octagon, roots, None, 16.0)
+    assert to_y.to_target == pytest.approx(math.hypot(0.25, 0.25), abs=1e-15)
+    assert to_y.complete and everything.complete
+    assert 50 * to_y.nodes < everything.nodes
+
+
+@pytest.mark.parametrize("limit,value", [("NODE_BUDGET", 1), ("MAX_DEPTH", 0)])
+def test_truncated_search_raises(octagon, monkeypatch, limit, value):
+    monkeypatch.setattr(metric, limit, value)
+    # the chord to the glued copy crosses an edge, so one node cannot find it
+    with pytest.raises(SearchTruncatedError):
+        local_distance(octagon, SurfacePoint(0, 0.9, 0.0), SurfacePoint(0, -0.9, 0.0), 16.0)
+    with pytest.raises(SearchTruncatedError):
+        shortest_saddle_connection(octagon)
