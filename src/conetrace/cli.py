@@ -64,12 +64,17 @@ def _parse_pair(text, what):
         raise UsageError(f"expected x,y for {what}, got {text!r}")
 
 
-def _parse_point(text, what):
+def _parse_point(s, text, what):
+    """A face,x,y point of the surface; one outside its face is a usage error."""
     try:
         f, x, y = text.split(",")
-        return SurfacePoint(int(f), float(x), float(y))
+        p = SurfacePoint(int(f), float(x), float(y))
     except ValueError:
         raise UsageError(f"expected face,x,y for {what}, got {text!r}")
+    # the tolerance tracer.trace allows a start point
+    if not s.contains(p, tol=10 * s.eps_geom):
+        raise UsageError(f"{what} {text} is not inside its face")
+    return p
 
 
 def _parse_word(text):
@@ -242,8 +247,8 @@ def _cmd_busemann(args):
     s = _load_surface(args)
     rx, ry = _parse_pair(args.ray_start, "--ray-start")
     ray = _trace(s, TangentState(args.ray_face, rx, ry, args.ray_dir), args.horizon)
-    x = _parse_point(args.x, "--x")
-    xp = _parse_point(args.x_prime, "--x-prime")
+    x = _parse_point(s, args.x, "--x")
+    xp = _parse_point(s, args.x_prime, "--x-prime")
     schedule = [float(v) for v in args.schedule.split(",")] if args.schedule else None
     est = busemann(s, ray, x, xp, schedule=schedule)
     rows = ["t,alpha"]

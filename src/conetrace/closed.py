@@ -106,18 +106,12 @@ class FlatCylinder:
 # ---------------------------------------------------------------------------
 # word utilities
 
-def _step(s: ConeSurface, c: Crossing):
-    """(face, edge) the letter leaves through, and the Neighbour it enters."""
-    face, edge = s.gluings[c.gluing][not c.forward]
-    return face, edge, s.neighbours[face][edge]
-
-
 def pre_face(s, c: Crossing) -> int:
-    return _step(s, c)[0]
+    return s.step(c.gluing, c.forward)[0]
 
 
 def post_face(s, c: Crossing) -> int:
-    return _step(s, c)[2].face
+    return s.step(c.gluing, c.forward)[2].face
 
 
 def _endpoint_corners(s: ConeSurface, c: Crossing):
@@ -127,7 +121,7 @@ def _endpoint_corners(s: ConeSurface, c: Crossing):
     from endpoint 0 to endpoint 1; corner_in is in the face the letter leaves,
     corner_out in the face it enters.
     """
-    face, edge, nb = _step(s, c)
+    face, edge, nb = s.step(c.gluing, c.forward)
     n, m = len(s.faces[face]), len(s.faces[nb.face])
     corners = []
     for which in (0, 1):
@@ -215,10 +209,9 @@ class _Arc:
 
 
 class _Shortener:
-    def __init__(self, s: ConeSurface, word: list[Crossing], max_iters: int):
+    def __init__(self, s: ConeSurface, word: list[Crossing]):
         self.s = s
         self.word = word
-        self.max_iters = max_iters
         self.arcs: list[_Arc] = []
         # cyclic (anchor-free) state
         self.places = None
@@ -418,9 +411,9 @@ class _Shortener:
             return True
         return False
 
-    def run(self):
+    def run(self, max_iters: int):
         s = self.s
-        for it in range(self.max_iters):
+        for it in range(max_iters):
             if not self.arcs:
                 self.word = cyclic_reduce(s, self.word)
                 if not self.word:
@@ -461,7 +454,7 @@ class _Shortener:
             if deficient is None:
                 return
             self._unsnap(*deficient)
-        raise NoConvergenceError(self.max_iters)
+        raise NoConvergenceError(max_iters)
 
 
 def _crossval(u):
@@ -471,9 +464,8 @@ def _crossval(u):
 
 
 def _rotation_fixed_point(iso: PlaneIsometry):
-    c, s_ = math.cos(iso.rot), math.sin(iso.rot)
     # solve (I - R) p = t
-    a, b = 1.0 - c, s_
+    a, b = 1.0 - iso.c, iso.s
     det = a * a + b * b
     return ((a * iso.tx - b * iso.ty) / det, (b * iso.tx + a * iso.ty) / det)
 
@@ -498,8 +490,8 @@ def shorten(
         if abs(hol.rot) <= 1e-9 and math.hypot(hol.tx, hol.ty) <= 100 * s.eps_geom:
             raise NullHomotopicError("holonomy is the identity")
 
-    sh = _Shortener(s, word, max_iters)
-    sh.run()
+    sh = _Shortener(s, word)
+    sh.run(max_iters)
     return _assemble_anchored(s, sh) if sh.arcs else _assemble_cyclic(s, sh)
 
 
@@ -550,7 +542,8 @@ def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
         segments.append(seg)
         arc += seg.length
         cr = word[j % m]
-        events.append(EdgeCross(cr.gluing, cr.forward, _step(s, cr)[2].placement, arc))
+        nb = s.step(cr.gluing, cr.forward)[2]
+        events.append(EdgeCross(cr.gluing, cr.forward, nb.placement, arc))
 
     return ClosedGeodesic(
         _cycle(segments, events, sh.length), sh.length, [], False,
@@ -573,7 +566,8 @@ def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
             arc_len += seg.length
             if j < len(arc.word):
                 cr = arc.word[j]
-                events.append(EdgeCross(cr.gluing, cr.forward, _step(s, cr)[2].placement, arc_len))
+                nb = s.step(cr.gluing, cr.forward)[2]
+                events.append(EdgeCross(cr.gluing, cr.forward, nb.placement, arc_len))
                 crossings.append(replace(cr, t=arc.params[j]))
         # passage at the anchor that ends this arc
         nxt = (i + 1) % len(sh.arcs)
@@ -626,7 +620,7 @@ def verify_stationarity(s: ConeSurface, g: ClosedGeodesic) -> bool:
     Recomputes the geometry from the raw crossing word and anchors rather than
     trusting the optimizer's stored angles.
     """
-    fresh = _Shortener(s, list(g.crossings), 4)
+    fresh = _Shortener(s, list(g.crossings))
     if g.anchors:
         fresh.arcs = _arcs_from_anchors(s, g)
         for arc in fresh.arcs:

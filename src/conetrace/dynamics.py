@@ -9,18 +9,21 @@ scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCellError
 from .geom import TWO_PI, clip_convex, norm_angle, signed_area
 from .surface import ConeSurface
-from .tracer import GeodesicPath, TangentState, TraceOptions, min_cone_distance_profile, trace
+from .tracer import GeodesicPath, TangentState, min_cone_distance_profile, trace
 
-DEFAULT_NX = 16
-DEFAULT_NY = 16
-DEFAULT_NDIR = 64
+# a face's bounding box is cut into NX x NY position boxes, the circle into NDIR sectors
+NX = 16
+NY = 16
+NDIR = 64
+MAX_ATTEMPTS = 64  # draws per flow sample; when every one hits a cone, the last is kept
+HIT_FRACTION = 0.9  # share of time bins on [t0, horizon] that t0_estimate asks for
 
 
 @dataclass(frozen=True)
@@ -31,21 +34,18 @@ class PhaseCell:
     ix: int
     iy: int
     idir: int
-    nx: int = DEFAULT_NX
-    ny: int = DEFAULT_NY
-    ndir: int = DEFAULT_NDIR
 
     def box(self, s: ConeSurface):
         xs = [p[0] for p in s.faces[self.face]]
         ys = [p[1] for p in s.faces[self.face]]
-        wx = (max(xs) - min(xs)) / self.nx
-        wy = (max(ys) - min(ys)) / self.ny
+        wx = (max(xs) - min(xs)) / NX
+        wy = (max(ys) - min(ys)) / NY
         x0 = min(xs) + self.ix * wx
         y0 = min(ys) + self.iy * wy
         return (x0, y0, x0 + wx, y0 + wy)
 
     def dir_interval(self):
-        w = TWO_PI / self.ndir
+        w = TWO_PI / NDIR
         return (self.idir * w, (self.idir + 1) * w)
 
     def contains(self, s: ConeSurface, st: TangentState) -> bool:
@@ -102,7 +102,6 @@ class MixingReport:
     t0_estimate: float | None
     samples_used: int
     cone_discards: int
-    threshold: float = 0.9
 
 
 def _segment_hits(s, cell: PhaseCell, path: GeodesicPath, dt: float, nbins: int, hits):
@@ -143,13 +142,13 @@ def _slab_clip(seg, x0, y0, x1, y1):
     return lo, hi
 
 
-def _sample_trace(s, cell, horizon, seed, sample_idx, max_attempts=64):
+def _sample_trace(s, cell, horizon, seed, sample_idx):
     """Trace one sample from the cell, resampling cone hits; returns (path, discards)."""
     discards = 0
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, sample_idx, attempt])
         st = sample_cell(s, cell, rng)
-        path = trace(s, st, horizon, TraceOptions(cone_policy="stop"))
+        path = trace(s, st, horizon)
         if path.length >= horizon - 1e-9:
             return path, discards
         discards += 1
@@ -164,7 +163,6 @@ def hit_times(
     dt: float,
     n_samples: int,
     seed: int = 0,
-    threshold: float = 0.9,
 ) -> MixingReport:
     """Mark the time bins in which some flow sample from O visits U."""
     if horizon <= 0 or dt <= 0 or n_samples <= 0:
@@ -181,14 +179,14 @@ def hit_times(
     if idx.size:
         first_hit = idx[0] * dt
     t0_estimate = None
-    # smallest t0 with hit fraction >= threshold on [t0, horizon]
+    # smallest t0 with hit fraction >= HIT_FRACTION on [t0, horizon]
     rev = hits[::-1]
     frac = np.cumsum(rev) / np.arange(1, nbins + 1)
-    ok = np.flatnonzero(frac[::-1] >= threshold)
+    ok = np.flatnonzero(frac[::-1] >= HIT_FRACTION)
     if ok.size:
         t0_estimate = ok[0] * dt
     return MixingReport(
-        cell_o, cell_u, horizon, dt, hits, first_hit, t0_estimate, n_samples, discards, threshold
+        cell_o, cell_u, horizon, dt, hits, first_hit, t0_estimate, n_samples, discards
     )
 
 
@@ -247,7 +245,7 @@ def cone_approach_experiment(s: ConeSurface, n_trajectories: int, length: float,
     for i in range(n_trajectories):
         rng = np.random.default_rng([seed, i])
         st = random_state(s, rng)
-        path = trace(s, st, length, TraceOptions(cone_policy="stop"))
+        path = trace(s, st, length)
         if length > 0 and path.length < length - 1e-9:
             rows.append((i, 0.0))
             continue

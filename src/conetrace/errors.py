@@ -36,13 +36,6 @@ class NoConePointsError(ConetraceError):
 
 # tracer --------------------------------------------------------------------
 
-class ConeHitError(ConetraceError):
-    def __init__(self, vclass: int, arc_length: float):
-        super().__init__(f"geodesic hit cone point class {vclass} at arc length {arc_length:.12g}")
-        self.vclass = vclass
-        self.arc_length = arc_length
-
-
 class EventBudgetExceededError(ConetraceError):
     pass
 

@@ -6,7 +6,6 @@ hot loops call into these helpers, so they avoid per-call array allocation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,26 +26,51 @@ def ang_diff(a: float, b: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
 class PlaneIsometry:
-    """Orientation-preserving rigid motion: rotation by `rot` followed by translation."""
+    """Orientation-preserving rigid motion: rotation by `rot` followed by translation.
 
-    rot: float
-    tx: float
-    ty: float
+    `c` and `s` are cos(rot) and sin(rot), computed once when the isometry is
+    built; every method reads them, so applying, composing or inverting an
+    isometry calls no trig and every placement by one isometry uses the same
+    two values.  Treat an isometry as immutable: `c` and `s` follow `rot` only
+    through the constructor.  Equality, hashing and the repr use (rot, tx, ty).
+    """
+
+    __slots__ = ("rot", "tx", "ty", "c", "s")
+
+    def __init__(self, rot: float, tx: float, ty: float):
+        self.rot = rot
+        self.tx = tx
+        self.ty = ty
+        self.c = math.cos(rot)
+        self.s = math.sin(rot)
+
+    def __repr__(self) -> str:
+        return f"PlaneIsometry(rot={self.rot!r}, tx={self.tx!r}, ty={self.ty!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PlaneIsometry):
+            return NotImplemented
+        return (self.rot, self.tx, self.ty) == (other.rot, other.tx, other.ty)
+
+    def __hash__(self) -> int:
+        return hash((self.rot, self.tx, self.ty))
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        c = math.cos(self.rot)
-        s = math.sin(self.rot)
+        c, s = self.c, self.s
         return (c * x - s * y + self.tx, s * x + c * y + self.ty)
+
+    def apply_polygon(self, poly) -> list[tuple[float, float]]:
+        """Each vertex placed as by `apply`."""
+        c, s, tx, ty = self.c, self.s, self.tx, self.ty
+        return [(c * x - s * y + tx, s * x + c * y + ty) for x, y in poly]
 
     def apply_dir(self, a: float) -> float:
         return norm_angle(a + self.rot)
 
     def compose(self, other: "PlaneIsometry") -> "PlaneIsometry":
         """self after other: (self.compose(other)).apply(p) == self.apply(*other.apply(p))."""
-        c = math.cos(self.rot)
-        s = math.sin(self.rot)
+        c, s = self.c, self.s
         return PlaneIsometry(
             self.rot + other.rot,
             c * other.tx - s * other.ty + self.tx,
@@ -54,8 +78,7 @@ class PlaneIsometry:
         )
 
     def inverse(self) -> "PlaneIsometry":
-        c = math.cos(self.rot)
-        s = math.sin(self.rot)
+        c, s = self.c, self.s
         return PlaneIsometry(-self.rot, -(c * self.tx + s * self.ty), s * self.tx - c * self.ty)
 
     @staticmethod
@@ -71,10 +94,9 @@ class PlaneIsometry:
     ) -> "PlaneIsometry":
         """The rigid motion taking the directed segment q0->q1 onto p0->p1."""
         rot = math.atan2(p1[1] - p0[1], p1[0] - p0[0]) - math.atan2(q1[1] - q0[1], q1[0] - q0[0])
-        c = math.cos(rot)
-        s = math.sin(rot)
-        tx = p0[0] - (c * q0[0] - s * q0[1])
-        ty = p0[1] - (s * q0[0] + c * q0[1])
+        r = PlaneIsometry(rot, 0.0, 0.0)
+        tx = p0[0] - (r.c * q0[0] - r.s * q0[1])
+        ty = p0[1] - (r.s * q0[0] + r.c * q0[1])
         return PlaneIsometry(rot, tx, ty)
 
     def almost_equal(self, other: "PlaneIsometry", tol: float) -> bool:
@@ -86,9 +108,7 @@ class PlaneIsometry:
 
     def matrix(self) -> tuple[float, float, float, float, float, float]:
         """Row-major 2x3 affine matrix (a, b, tx, c, d, ty)."""
-        c = math.cos(self.rot)
-        s = math.sin(self.rot)
-        return (c, -s, self.tx, s, c, self.ty)
+        return (self.c, -self.s, self.tx, self.s, self.c, self.ty)
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ from .tracer import GeodesicPath, TangentState
 
 MAX_DEPTH = 64
 NODE_BUDGET = 1_000_000
+MAX_TILT = 0.3  # radians between developed directions that can still fellow-travel
 
 
-def _place_key(c: float, sn: float, tx: float, ty: float):
+def _place_key(place: PlaneIsometry):
     """Key of a placement: its cos, sin and translation rounded to 1e-7."""
-    return (round(c * 1e7), round(sn * 1e7), round(tx * 1e7), round(ty * 1e7))
+    return (round(place.c * 1e7), round(place.s * 1e7),
+            round(place.tx * 1e7), round(place.ty * 1e7))
 
 
 @dataclass
@@ -53,17 +55,6 @@ class _ChordResult:
     to_class: dict = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0
-
-
-def _placed_face(place: PlaneIsometry, c: float, sn: float, poly):
-    """The polygon `place` places, given the cos/sin of place.rot.
-
-    The vertices use the expressions of PlaneIsometry.apply, so they are
-    bit-equal to placing each vertex on its own; one trig pair serves the
-    whole face copy.
-    """
-    tx, ty = place.tx, place.ty
-    return [(c * x - sn * y + tx, sn * x + c * y + ty) for x, y in poly]
 
 
 def _chords(s: ConeSurface, roots, target, cap: float,
@@ -100,11 +91,9 @@ def _chords(s: ConeSurface, roots, target, cap: float,
         if res.nodes > NODE_BUDGET:
             res.complete = False
             break
-        c, sn = math.cos(place.rot), math.sin(place.rot)
-        placed = _placed_face(place, c, sn, s.faces[face])
+        placed = place.apply_polygon(s.faces[face])
         if target is not None and face == target[0]:
-            qx = c * target[1] - sn * target[2] + place.tx
-            qy = sn * target[1] + c * target[2] + place.ty
+            qx, qy = place.apply(target[1], target[2])
             d = math.hypot(qx - px, qy - py)
             if d < res.to_target and d <= cap:
                 if depth == 0 or window_contains(window, math.atan2(qy - py, qx - px)):
@@ -159,11 +148,9 @@ def _point_roots(s: ConeSurface, p: SurfacePoint):
 def _class_roots(s: ConeSurface, cid: int):
     roots = []
     for c in s.class_corners[cid]:
-        poly = s.faces[c.face]
-        vx, vy = poly[c.vertex]
-        nx, ny = poly[(c.vertex + 1) % len(poly)]
-        lo = math.atan2(ny - vy, nx - vx)
-        roots.append((c.face, vx, vy, (lo, lo + c.interior_angle), PlaneIsometry.identity()))
+        vx, vy = s.faces[c.face][c.vertex]
+        roots.append((c.face, vx, vy, (c.out_dir, c.out_dir + c.interior_angle),
+                      PlaneIsometry.identity()))
     return roots
 
 
@@ -246,8 +233,7 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
     # before its vertices are placed; rounding cannot flip that decision
     discs = [(centroid(poly), circumradius(poly) + radius + s.eps_geom) for poly in s.faces]
     # a dict, not a set: with ~10^5 keys its table takes less memory
-    seen = {(base.face,) + _place_key(math.cos(start_place.rot), math.sin(start_place.rot),
-                                      start_place.tx, start_place.ty): None}
+    seen = {(base.face,) + _place_key(start_place): None}
     out = []
     frontier = [(base.face, start_place)]
     steps = 0
@@ -255,12 +241,11 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
         nxt = []
         for face, place in frontier:
             steps += 1
-            c, sn = math.cos(place.rot), math.sin(place.rot)
             (cx, cy), reach = discs[face]
-            if math.hypot(c * cx - sn * cy + place.tx - base.x,
-                          sn * cx + c * cy + place.ty - base.y) > reach:
+            mx, my = place.apply(cx, cy)
+            if math.hypot(mx - base.x, my - base.y) > reach:
                 continue
-            placed = _placed_face(place, c, sn, s.faces[face])
+            placed = place.apply_polygon(s.faces[face])
             # keep the copy when it holds the base or an edge comes within the radius
             if not point_in_convex(placed, base.x, base.y) and not any(
                 dist_point_segment(base.x, base.y, *placed[i - 1], *placed[i]) <= radius
@@ -270,16 +255,12 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
             if face == target_face:
                 out.append(place)
             for nb in s.neighbours[face]:
-                # place.compose(nb.placement), built only for a copy not seen yet
-                q = nb.placement
-                rot = place.rot + q.rot
-                tx = c * q.tx - sn * q.ty + place.tx
-                ty = sn * q.tx + c * q.ty + place.ty
-                key = (nb.face,) + _place_key(math.cos(rot), math.sin(rot), tx, ty)
+                child = place.compose(nb.placement)
+                key = (nb.face,) + _place_key(child)
                 if key in seen:
                     continue
                 seen[key] = None
-                nxt.append((nb.face, PlaneIsometry(rot, tx, ty)))
+                nxt.append((nb.face, child))
         frontier = nxt
     return out
 
@@ -334,7 +315,6 @@ def busemann(
     x: SurfacePoint,
     x_prime: SurfacePoint,
     schedule: list[float] | None = None,
-    tol: float | None = None,
 ) -> BusemannEstimate:
     """Estimate the Busemann difference d(x', ray(t)) - d(x, ray(t)) along the schedule.
 
@@ -342,13 +322,13 @@ def busemann(
     its copy nearest the ray's base and x' to its copy nearest x's lift, so
     the separation of the two lifts never exceeds the geodesic distance
     d(x, x').  Each alpha_t is the difference of the Euclidean separations
-    from the lifts to the developed ray point.
+    from the lifts to the developed ray point.  The estimate has converged once
+    two successive alpha_t agree within 1e-4 * diam_hint.
     """
     if schedule is None:
         schedule = [s.diam_hint * 2.0 ** k for k in range(8)]
         schedule = [t for t in schedule if t <= ray.length] or [ray.length]
-    if tol is None:
-        tol = 1e-4 * s.diam_hint
+    tol = 1e-4 * s.diam_hint
     if sorted(schedule) != list(schedule):
         raise ValueError("schedule must be increasing")
     if schedule[-1] > ray.length + 1e-9:
@@ -382,18 +362,17 @@ def busemann(
 # ---------------------------------------------------------------------------
 # equidistant reparametrization and convergence profiles
 
-def _frame_candidates(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath,
-                      radius: float, max_tilt: float = 0.3):
+def _frame_candidates(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath, radius: float):
     """Placements of g2's development into g1's frame, roughly co-directed.
 
     Each candidate is (z0, e2, place): the placed base point and unit
     direction of g2's developed line.  Placements whose direction differs
-    from g1's by more than `max_tilt` cannot fellow-travel and are dropped.
+    from g1's by more than MAX_TILT cannot fellow-travel and are dropped.
     """
     out = []
     for place in _enumerate_lifts(s, g1.start, g2.start.face, radius):
         tilt = abs(ang_diff(place.apply_dir(g2.start.direction), g1.start.direction))
-        if tilt > max_tilt:
+        if tilt > MAX_TILT:
             continue
         z0 = place.apply(g2.start.x, g2.start.y)
         d2 = place.apply_dir(g2.start.direction)
@@ -423,28 +402,20 @@ def _closest_u(line1, z0, e2, c: float) -> float:
     return -(ax_ * dx + ay_ * dy) / den
 
 
-def equidistant_reparam(
-    s: ConeSurface,
-    g1: GeodesicPath,
-    g2: GeodesicPath,
-    schedule: list[float] | None = None,
-    tol: float | None = None,
-) -> float:
+def equidistant_reparam(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath) -> float:
     """Time shift c making g1(c) equidistant with g2(0) from g1's endpoint at infinity.
 
     g2 is lifted to every placement that can fellow-travel g1's developed
     line; for each, the Busemann limit along a straight line is available in
     closed form, so c is the projection of the base offset onto g1's
-    direction.  Candidates whose separation grows over the schedule horizon
-    are rejected; ties (a flat cylinder defines c only up to its period)
-    resolve to the smallest shift.  Raises NoBracket when no lift
+    direction.  Candidates whose separation grows over the traced window are
+    rejected; ties (a flat cylinder defines c only up to its period) resolve
+    to the smallest shift.  Both paths must be cone-free up to
+    min(128 * diam_hint, g1.length).  Raises NoBracket when no lift
     fellow-travels, e.g. for an anti-parallel pair.
     """
-    if schedule is None:
-        schedule = [s.diam_hint * 2.0 ** k for k in range(8)]
-    if tol is None:
-        tol = 1e-4 * s.diam_hint
-    t_ref = min(schedule[-1], g1.length)
+    tol = 1e-4 * s.diam_hint
+    t_ref = min(128.0 * s.diam_hint, g1.length)
     _check_cone_free(g1, t_ref)
     _check_cone_free(g2, min(t_ref, g2.length))
     sep = local_distance(

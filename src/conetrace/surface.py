@@ -47,6 +47,7 @@ class Corner:
 
     face: int
     vertex: int
+    out_dir: float  # chart direction of the outgoing edge, where the wedge begins
     interior_angle: float
     fan_start: float  # cumulative cone coordinate where this corner's wedge begins
 
@@ -65,7 +66,7 @@ class Neighbour(NamedTuple):
 class ConeSurface:
     """Immutable glued-polygon surface. Build through parse_surface/builtin."""
 
-    def __init__(self, name, faces, gluings, diam_hint=None, warnings=None):
+    def __init__(self, name, faces, gluings, warnings=None):
         self.name = name
         self.faces = [list(map(tuple, f)) for f in faces]
         self.gluings = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in gluings]
@@ -73,8 +74,7 @@ class ConeSurface:
         self._build_edges()
         self._build_transitions()
         self._build_vertex_classes()
-        self.diam_hint = float(diam_hint) if diam_hint else max(circumradius(f) for f in self.faces)
-        self.eps_glue = 1e-9 * self.diam_hint
+        self.diam_hint = max(circumradius(f) for f in self.faces)
         self.eps_geom = 1e-9 * self.diam_hint
         self.eps_vertex = 1e-7 * self.diam_hint
 
@@ -120,7 +120,7 @@ class ConeSurface:
             self.neighbours.append(nbs)
             self.edge_rows.append(rows)
 
-    def _interior_angle(self, face: int, vertex: int) -> float:
+    def _corner(self, face: int, vertex: int, fan_start: float) -> Corner:
         poly = self.faces[face]
         n = len(poly)
         vx, vy = poly[vertex]
@@ -128,7 +128,7 @@ class ConeSurface:
         nx, ny = poly[(vertex + 1) % n]
         a_next = math.atan2(ny - vy, nx - vx)
         a_prev = math.atan2(py - vy, px - vx)
-        return norm_angle(a_prev - a_next)
+        return Corner(face, vertex, a_next, norm_angle(a_prev - a_next), fan_start)
 
     def _corner_successor(self, face: int, vertex: int) -> tuple[int, int]:
         # Rotating CCW about the vertex leaves the face across edge (face, vertex-1);
@@ -138,6 +138,7 @@ class ConeSurface:
 
     def _build_vertex_classes(self):
         seen: dict[tuple[int, int], int] = {}
+        self.corners: dict[tuple[int, int], Corner] = {}
         self.class_corners: list[list[Corner]] = []
         self.cone_angles: list[float] = []
         all_corners = sorted(
@@ -152,9 +153,9 @@ class ConeSurface:
             cur = start
             while True:
                 seen[cur] = cid
-                ang = self._interior_angle(*cur)
-                fan.append(Corner(cur[0], cur[1], ang, total))
-                total += ang
+                corner = self.corners[cur] = self._corner(cur[0], cur[1], total)
+                fan.append(corner)
+                total += corner.interior_angle
                 cur = self._corner_successor(*cur)
                 if cur == start:
                     break
@@ -182,31 +183,24 @@ class ConeSurface:
         return len(self.cone_angles) - len(self.gluings) + len(self.faces)
 
     def contains(self, p: SurfacePoint, tol: float | None = None) -> bool:
-        return point_in_convex(self.faces[p.face], p.x, p.y, self.eps_geom if tol is None else tol)
+        """True when p lies in its face; False when that face is not on the surface."""
+        return 0 <= p.face < len(self.faces) and point_in_convex(
+            self.faces[p.face], p.x, p.y, self.eps_geom if tol is None else tol
+        )
 
-    def total_area(self) -> float:
-        return sum(signed_area(f) for f in self.faces)
-
-    def corner_index(self, face: int, vertex: int) -> tuple[int, int]:
-        """(class id, position of the corner in the class fan)."""
-        cid = self.vertex_class[(face, vertex)]
-        for k, c in enumerate(self.class_corners[cid]):
-            if c.face == face and c.vertex == vertex:
-                return cid, k
-        raise KeyError((face, vertex))
+    def step(self, gluing: int, forward: bool) -> tuple[int, int, Neighbour]:
+        """The (face, edge) a crossing letter leaves through, and the Neighbour it enters."""
+        face, edge = self.gluings[gluing][not forward]
+        return face, edge, self.neighbours[face][edge]
 
     def cone_coordinate(self, face: int, vertex: int, direction: float) -> float:
         """Cone coordinate in [0, theta) of a chart direction emanating from the corner."""
-        cid, k = self.corner_index(face, vertex)
-        c = self.class_corners[cid][k]
-        vx, vy = self.faces[face][vertex]
-        nx, ny = self.faces[face][(vertex + 1) % len(self.faces[face])]
-        d_out = math.atan2(ny - vy, nx - vx)
-        off = norm_angle(direction - d_out)
+        c = self.corners[(face, vertex)]
+        off = norm_angle(direction - c.out_dir)
         # clamp directions marginally outside the wedge onto its boundary
         if off > c.interior_angle:
             off = c.interior_angle if off - c.interior_angle < math.pi else 0.0
-        return math.fmod(c.fan_start + off, self.cone_angles[cid])
+        return math.fmod(c.fan_start + off, self.cone_angles[self.vertex_class[(face, vertex)]])
 
     def from_cone_coordinate(self, cid: int, phi: float) -> tuple[int, int, float]:
         """Map a cone coordinate to (face, vertex, chart direction) at the apex."""
@@ -215,16 +209,9 @@ class ConeSurface:
         if phi < 0.0:
             phi += theta
         fan = self.class_corners[cid]
-        for c in fan:
-            if c.fan_start <= phi <= c.fan_start + c.interior_angle:
-                vx, vy = self.faces[c.face][c.vertex]
-                nx, ny = self.faces[c.face][(c.vertex + 1) % len(self.faces[c.face])]
-                d_out = math.atan2(ny - vy, nx - vx)
-                return c.face, c.vertex, norm_angle(d_out + (phi - c.fan_start))
-        c = fan[-1]
-        vx, vy = self.faces[c.face][c.vertex]
-        nx, ny = self.faces[c.face][(c.vertex + 1) % len(self.faces[c.face])]
-        return c.face, c.vertex, norm_angle(math.atan2(ny - vy, nx - vx) + (phi - c.fan_start))
+        # the wedges tile [0, theta], so only a NaN phi falls through to fan[-1]
+        c = next((c for c in fan if c.fan_start <= phi <= c.fan_start + c.interior_angle), fan[-1])
+        return c.face, c.vertex, norm_angle(c.out_dir + (phi - c.fan_start))
 
     def cone_chart_point(self, cid: int, r: float, phi: float) -> SurfacePoint:
         """Point at polar distance r, cone coordinate phi from the apex of class cid."""
@@ -241,8 +228,7 @@ def places_along(s: ConeSurface, word) -> list[PlaneIsometry]:
     """
     places = [PlaneIsometry.identity()]
     for gi, forward in word:
-        face, edge = s.gluings[gi][not forward]  # the side the letter leaves through
-        places.append(places[-1].compose(s.neighbours[face][edge].placement))
+        places.append(places[-1].compose(s.step(gi, forward)[2].placement))
     return places
 
 
@@ -265,7 +251,7 @@ def validate(s: ConeSurface) -> ValidationReport:
         q0, q1 = s.edge_endpoints(fb, eb)
         la = math.dist(p0, p1)
         lb = math.dist(q0, q1)
-        if abs(la - lb) > s.eps_glue:
+        if abs(la - lb) > s.eps_geom:
             violations.append(
                 ("EDGE_LENGTH_MISMATCH", f"gluing {gi}: |{fa}.{ea}|={la:.12g} vs |{fb}.{eb}|={lb:.12g}")
             )

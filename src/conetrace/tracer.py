@@ -2,17 +2,17 @@
 
 A trace is straight-line propagation inside each convex face, with chart
 changes applied at glued edges.  Hitting a conical vertex (within the capture
-radius) is a terminal event by default; continuations through cone points are
-explicit via cone_scatter and must keep both side angles at least pi.
+radius) always ends a trace, with a ConeHit as its last event; cone_scatter
+continues from the hit, and the continuation must keep both side angles at
+least pi.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     ChartMismatchError,
-    ConeHitError,
     EventBudgetExceededError,
     InvalidScatterError,
     NotALoopError,
@@ -20,6 +20,8 @@ from .errors import (
 )
 from .geom import PlaneIsometry, ang_diff, norm_angle
 from .surface import ConeSurface, SurfacePoint, places_along
+
+MAX_EVENTS = 1_000_000  # events in one trace before EventBudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,6 @@ class ConeHit:
 
 
 @dataclass
-class TraceOptions:
-    max_events: int = 1_000_000
-    cone_policy: str = "stop"  # "stop" | "error"
-
-
-@dataclass
 class GeodesicPath:
     start: TangentState
     end: TangentState
@@ -81,11 +77,14 @@ class GeodesicPath:
         return [e for e in self.events if isinstance(e, EdgeCross)]
 
 
-def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions | None = None) -> GeodesicPath:
-    """Trace the geodesic from `start` for the given arc length."""
+def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
+    """Trace the geodesic from `start` for the given arc length, or to the first cone hit.
+
+    Raises ValueError for a negative length or a start point that is not in
+    its face (a face that is not on the surface included).
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    opts = opts or TraceOptions()
     eps_v = s.eps_vertex
     if not s.contains(SurfacePoint(start.face, start.x, start.y), tol=10 * s.eps_geom):
         raise ValueError("start point is not inside its face")
@@ -140,13 +139,11 @@ def trace(s: ConeSurface, start: TangentState, length: float, opts: TraceOptions
                 break
         if hit is not None:
             events.append(hit)
-            if opts.cone_policy == "error":
-                raise ConeHitError(hit.vclass, hit.arc_length)
             px, py = qx, qy
             break
 
-        if len(events) >= opts.max_events:
-            raise EventBudgetExceededError(f"more than {opts.max_events} events")
+        if len(events) >= MAX_EVENTS:
+            raise EventBudgetExceededError(f"more than {MAX_EVENTS} events")
 
         nb = s.neighbours[face][best_e]
         trans = nb.transition

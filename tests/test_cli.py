@@ -124,6 +124,21 @@ def test_start_outside_face(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--face", "3", "--start", "0,0", "--len", "1"],
+    ["busemann", "--ray-face", "2", "--ray-start", "0,0", "--horizon", "10",
+     "--x", "0,0,0", "--x-prime", "0,0,0.1"],
+    ["converge", "--start1", "0,-0.025", "--start2", "0,0.025", "--face2", "4", "--horizon", "5"],
+    ["busemann", "--ray-start", "0,0", "--horizon", "10", "--x", "0,5,5", "--x-prime", "0,0,0.1"],
+    ["busemann", "--ray-start", "0,0", "--horizon", "10", "--x", "2,0,0", "--x-prime", "0,0,0.1"],
+], ids=["trace-face", "busemann-ray-face", "converge-face2", "busemann-x-outside", "busemann-x-face"])
+def test_point_not_on_surface(capsys, tmp_path, argv):
+    # the octagon has one face, and (5, 5) lies outside it
+    assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unique_search_artifact(tmp_path):
     assert run(tmp_path, "unique-search", "--builtin", "octagon6pi", "--budget", "200") == 0
     text = read(tmp_path, "unique.txt")

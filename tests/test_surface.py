@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conetrace import (
+    PlaneIsometry,
     builtin,
     gb_residual,
     min_cone_separation,
@@ -153,3 +154,24 @@ def test_min_cone_separation_decagon(decagon):
 def test_min_cone_separation_requires_cones():
     with pytest.raises(NoConePointsError):
         min_cone_separation(parse_surface(TORUS_TEXT))
+
+
+def _isometries(s):
+    yield PlaneIsometry.identity()
+    yield PlaneIsometry.mapping_segment((0.1, 0.2), (0.7, -0.4), (1.0, 1.0), (0.2, 1.5))
+    for row in s.neighbours:
+        for nb in row:
+            yield nb.transition
+            yield nb.placement
+            yield nb.transition.compose(nb.placement)
+            yield nb.placement.compose(row[0].transition)
+            yield nb.transition.inverse()
+
+
+def test_isometry_trig_is_exact(octagon, decagon):
+    # placements are bit-exact only while c and s are exactly cos(rot) and
+    # sin(rot), the values a fresh trig call gives; the repr feeds digests
+    for s in (octagon, decagon):
+        for iso in _isometries(s):
+            assert iso.c == math.cos(iso.rot) and iso.s == math.sin(iso.rot)
+            assert repr(iso) == f"PlaneIsometry(rot={iso.rot!r}, tx={iso.tx!r}, ty={iso.ty!r})"

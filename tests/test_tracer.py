@@ -7,7 +7,6 @@ import pytest
 
 from conetrace import (
     TangentState,
-    TraceOptions,
     compare_paths,
     cone_scatter,
     develop,
@@ -21,9 +20,9 @@ from conetrace import (
     trace,
     word_holonomy,
 )
+from conetrace import tracer
 from conetrace.errors import (
     ChartMismatchError,
-    ConeHitError,
     EventBudgetExceededError,
     InvalidScatterError,
     NotALoopError,
@@ -53,17 +52,13 @@ def test_cone_hit_at_circumradius(octagon):
     p = trace(octagon, TangentState(0, 0.0, 0.0, VERTEX_DIR), 2.0)
     assert len(p.cone_hits) == 1
     assert abs(p.cone_hits[0].arc_length - 1.0) < 1e-12
-    assert abs(p.length - 1.0) < 1e-12  # cone_policy stop truncates
+    assert abs(p.length - 1.0) < 1e-12  # a cone hit ends the trace
 
 
-def test_cone_policy_error(octagon):
-    with pytest.raises(ConeHitError):
-        trace(octagon, TangentState(0, 0.0, 0.0, VERTEX_DIR), 2.0, TraceOptions(cone_policy="error"))
-
-
-def test_event_budget(octagon):
+def test_event_budget(octagon, monkeypatch):
+    monkeypatch.setattr(tracer, "MAX_EVENTS", 5)
     with pytest.raises(EventBudgetExceededError):
-        trace(octagon, TangentState(0, 0.0, 0.0, 0.37), 50.0, TraceOptions(max_events=5))
+        trace(octagon, TangentState(0, 0.0, 0.0, 0.37), 50.0)
 
 
 def _hit(octagon):
