@@ -7,15 +7,17 @@ over the cone classes as hubs with chord legs found by best-first unfolding
 under angular-window pruning.  The asymptotic operations (`busemann`,
 `equidistant_reparam`, `convergence_profile`) instead measure separations
 between developed lifts in a shared development frame: a traced geodesic
-develops to a straight line, points are lifted to the nearby face copy, and
-each reported distance is the Euclidean separation of the developed images.
-That separation equals the geodesic distance between the lifts whenever the
-straight chord between them is realizable on the surface, and is a lower
-bound in general, since any lifted path develops to a plane path of the same
-length.  Working with the developed lines keeps the Busemann limit available
-in closed form and makes convergence profiles of asymptotic pairs exactly
-monotone, which no quotient measurement can provide: quotient distances are
-bounded by the diameter and oscillate as foreign sheets dip closer.
+develops to a straight line, points are lifted to the face copy that the
+distance search's own chord reaches (face copies are enumerated only when the
+minimiser bends at a cone), and each reported distance is the Euclidean
+separation of the developed images.  That separation equals the geodesic
+distance between the lifts whenever the straight chord between them is
+realizable on the surface, and is a lower bound in general, since any lifted
+path develops to a plane path of the same length.  Working with the developed
+lines keeps the Busemann limit available in closed form and makes convergence
+profiles of asymptotic pairs exactly monotone, which no quotient measurement
+can provide: quotient distances are bounded by the diameter and oscillate as
+foreign sheets dip closer.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ class _ChordResult:
     to_class: dict = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0
+    place: PlaneIsometry | None = None
 
 
 def _chords(s: ConeSurface, roots, target, cap: float,
@@ -67,7 +70,8 @@ def _chords(s: ConeSurface, roots, target, cap: float,
     the distance to a node's entry edge and stops at `cap` or, once a chord to
     the target is known, at that chord: a node farther out cannot shorten it
     (the pruning rule of window propagation).  So `to_target` is the minimal
-    chord to the target of length at most `cap`, while `to_class` is exact
+    chord to the target of length at most `cap`, and `place` is the placement
+    of the target's face copy that this chord reaches, while `to_class` is exact
     only for the cone classes closer than `to_target`; a class farther out
     may be missing or carry a longer chord.  `complete` is False when the
     node budget or the depth cap cut the search short.
@@ -98,6 +102,7 @@ def _chords(s: ConeSurface, roots, target, cap: float,
             if d < res.to_target and d <= cap:
                 if depth == 0 or window_contains(window, math.atan2(qy - py, qx - px)):
                     res.to_target = d
+                    res.place = place
         for v in s.conical_vertices[face]:
             vx, vy = placed[v]
             d = math.hypot(vx - px, vy - py)
@@ -154,18 +159,38 @@ def _class_roots(s: ConeSurface, cid: int):
     return roots
 
 
+def _check_on_surface(s: ConeSurface, *points: SurfacePoint):
+    """ValueError unless each point lies in its face, with the tolerance `trace` uses."""
+    for p in points:
+        if not s.contains(p, tol=10 * s.eps_geom):
+            raise ValueError(f"{p} is not on the surface")
+
+
 def local_distance(s: ConeSurface, x: SurfacePoint, y: SurfacePoint, radius: float) -> float:
     """Exact geodesic distance d(x, y) on the surface when it is at most `radius`.
 
     Straight chords are combined with routes through cone apices by a Dijkstra
-    whose hubs are the conical classes.  Raises ExceedsRadius when the distance
-    exceeds the radius, and SearchTruncated when the node budget or the depth
-    cap stops an unfolding search before it could prove its answer minimal.
+    whose hubs are the conical classes.  Raises ValueError for a point that is
+    not on the surface, ExceedsRadius when the distance exceeds the radius, and
+    SearchTruncated when the node budget or the depth cap stops an unfolding
+    search before it could prove its answer minimal.
+    """
+    return _witness(s, x, y, radius)[0]
+
+
+def _witness(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
+             radius: float) -> tuple[float, PlaneIsometry | None]:
+    """`local_distance` together with the placement of its minimiser when that is straight.
+
+    The placement is the chart placement, in x's chart, of y's face copy that
+    the minimal straight chord reaches; it is None when a route through a cone
+    apex is shorter, i.e. when the minimiser bends.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    _check_on_surface(s, x, y)
     if x.face == y.face and x.x == y.x and x.y == y.y:
-        return 0.0
+        return 0.0, PlaneIsometry.identity()
 
     first = _complete(_chords(s, _point_roots(s, x), y, radius))
     best = first.to_target
@@ -187,7 +212,7 @@ def local_distance(s: ConeSurface, x: SurfacePoint, y: SurfacePoint, radius: flo
                 dist[c2] = nd
                 heapq.heappush(heap, (nd, c2))
     if best <= radius:
-        return best
+        return best, first.place if best == first.to_target else None
     raise ExceedsRadiusError(radius, None if math.isinf(best) else best)
 
 
@@ -225,7 +250,11 @@ def _ray_line(start: TangentState):
 
 def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
                      radius: float, start_place: PlaneIsometry | None = None):
-    """All chart placements of target_face whose placed copy meets the radius disc."""
+    """All chart placements of target_face whose placed copy meets the radius disc.
+
+    The breadth-first walk stops after 20000 face copies, and a walk cut there
+    returns the placements found so far without saying so.
+    """
     if start_place is None:
         start_place = PlaneIsometry.identity()
     # a copy whose circumscribed disc misses the radius disc by more than the
@@ -268,15 +297,19 @@ def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
 def lift_point(s: ConeSurface, base: TangentState, x: SurfacePoint,
                start_place: PlaneIsometry | None = None,
                ref_dist: float | None = None) -> PlaneIsometry:
-    """Chart placement of a copy of x near the base point's development.
+    """Chart placement of a copy of x near the base point's development, by enumeration.
 
     The placed image is never farther than the geodesic distance from the base
     to x: the geodesic develops to a plane path of its own length, so its
     endpoint copy lies within that radius and the minimum over copies can only
     be closer.  When the geodesic distance is supplied as `ref_dist`, the copy
     realizing it is preferred over overlap-sheet copies that develop closer
-    without a realizable straight chord.
+    without a realizable straight chord.  `busemann` takes its lifts from the
+    distance search's own chord and calls this only when the minimiser bends
+    at a cone.  Raises ValueError when x is not on the surface; `base` is a
+    point in a development and may lie outside its face.
     """
+    _check_on_surface(s, x)
     cap = 4.0 * s.diam_hint
     if ref_dist is not None:
         cap = max(ref_dist + 0.1 * s.diam_hint, 0.5 * s.diam_hint)
@@ -319,11 +352,17 @@ def busemann(
     """Estimate the Busemann difference d(x', ray(t)) - d(x, ray(t)) along the schedule.
 
     The ray develops to a straight line from its start chart; x is lifted to
-    its copy nearest the ray's base and x' to its copy nearest x's lift, so
-    the separation of the two lifts never exceeds the geodesic distance
-    d(x, x').  Each alpha_t is the difference of the Euclidean separations
-    from the lifts to the developed ray point.  The estimate has converged once
-    two successive alpha_t agree within 1e-4 * diam_hint.
+    the copy that the minimal chord from the ray's base reaches, and x' to the
+    copy that the minimal chord from x's lift reaches.  The copies come from
+    the distance searches themselves; only when a minimiser bends at a cone is
+    its lift found by enumerating face copies (`lift_point`), which places the
+    copy realizing the distance or, failing that, the nearest one.  So the
+    separation of the two lifts never exceeds the geodesic distance d(x, x'),
+    and equals it when the minimiser from x to x' is straight.  Each
+    alpha_t is the difference of the Euclidean separations from the lifts to
+    the developed ray point.  The estimate has converged once two successive
+    alpha_t agree within 1e-4 * diam_hint.  Raises ValueError when x or x' is
+    not on the surface.
     """
     if schedule is None:
         schedule = [s.diam_hint * 2.0 ** k for k in range(8)]
@@ -337,12 +376,16 @@ def busemann(
         )
     bx, by, ex, ey = _ray_line(ray.start)
     base_pt = SurfacePoint(ray.start.face, ray.start.x, ray.start.y)
-    d_x = local_distance(s, base_pt, x, 16.0 * s.diam_hint)
-    place_x = lift_point(s, ray.start, x, ref_dist=d_x)
+    d_x, place_x = _witness(s, base_pt, x, 16.0 * s.diam_hint)
+    if place_x is None:
+        place_x = lift_point(s, ray.start, x, ref_dist=d_x)
     lx = place_x.apply(x.x, x.y)
-    anchor = TangentState(x.face, lx[0], lx[1], 0.0)
-    d_xp = local_distance(s, x, x_prime, 16.0 * s.diam_hint)
-    place_xp = lift_point(s, anchor, x_prime, start_place=place_x, ref_dist=d_xp)
+    d_xp, w = _witness(s, x, x_prime, 16.0 * s.diam_hint)
+    if w is None:
+        anchor = TangentState(x.face, lx[0], lx[1], 0.0)
+        place_xp = lift_point(s, anchor, x_prime, start_place=place_x, ref_dist=d_xp)
+    else:
+        place_xp = place_x.compose(w)
     lxp = place_xp.apply(x_prime.x, x_prime.y)
     history = []
     converged = False

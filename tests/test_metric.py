@@ -267,6 +267,64 @@ def test_busemann_lipschitz_and_monotone(octagon):
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+# queries whose minimiser from x to x' bends at a cone, so that busemann lifts
+# x' by enumeration: (ray direction, x, x'); the octagon's is criterion 7's
+BENT_QUERIES = {
+    "octagon6pi": (2.847227441940403, (-0.2780692674681221, 0.08430308071884868),
+                   (-0.3602186753525416, -0.9165558827092606)),
+    "decagon4pi4pi": (3.8485628675173906, (-0.21464231561794903, -0.18336338656569978),
+                      (0.6176876180693398, -0.6942699537086543)),
+}
+
+
+@pytest.mark.parametrize("name,seed", [("octagon6pi", 61), ("decagon4pi4pi", 67)])
+def test_busemann_lifts_match_enumeration(name, seed, monkeypatch):
+    # the lifts taken from the distance searches' chords place x and x'
+    # bit-exactly where enumerating face copies (lift_point) places them
+    s = builtin(name)
+    rng = np.random.default_rng(seed)
+    queries = []
+    while len(queries) < 10:
+        ray = trace(s, TangentState(0, 0.0, 0.0, rng.uniform(0, 2 * math.pi)), 130.0)
+        if not ray.cone_hits:
+            x = point_at(ray, rng.uniform(0.0, 0.3))
+            queries.append((ray, x, _random_points(s, rng, 1)[0]))
+    theta, x, xp = BENT_QUERIES[name]
+    queries.append((trace(s, TangentState(0, 0.0, 0.0, theta), 130.0),
+                    SurfacePoint(0, *x), SurfacePoint(0, *xp)))
+
+    enumerate_lifts, witness = metric._enumerate_lifts, metric._witness
+    calls = []
+    monkeypatch.setattr(metric, "_enumerate_lifts",
+                        lambda *a, **k: calls.append(1) or enumerate_lifts(*a, **k))
+    enumerated = []
+    for ray, x, xp in queries:
+        n = len(calls)
+        est = busemann(s, ray, x, xp)
+        enumerated.append(len(calls) > n)
+        with monkeypatch.context() as m:
+            # both placements by lift_point(ref_dist=d), as before the witness
+            m.setattr(metric, "_witness", lambda *a: (witness(*a)[0], None))
+            ref = busemann(s, ray, x, xp)
+        assert repr(est) == repr(ref)
+    assert enumerated[-1] and not all(enumerated)
+
+
+def test_point_not_on_surface(octagon):
+    origin = SurfacePoint(0, 0.0, 0.0)
+    for bad in (SurfacePoint(0, 5.0, 5.0), SurfacePoint(2, 0.0, 0.0), SurfacePoint(-1, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            local_distance(octagon, bad, origin, 16.0)
+    ray = trace(octagon, TangentState(0, 0.0, 0.0, 0.3), 10.0)
+    with pytest.raises(ValueError):
+        busemann(octagon, ray, origin, SurfacePoint(0, 5.0, 5.0))
+    with pytest.raises(ValueError):
+        metric.lift_point(octagon, ray.start, SurfacePoint(0, 5.0, 5.0))
+    # a point on an edge, as point_at returns it, is on the surface
+    on_edge = point_at(trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 5.0), APOTHEM)
+    assert local_distance(octagon, origin, on_edge, 16.0) == pytest.approx(APOTHEM, abs=1e-12)
+
+
 def test_busemann_bad_schedule(octagon):
     ray = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 10.0)
     with pytest.raises(ValueError):
