@@ -1,23 +1,24 @@
 """Geodesic distances by windowed unfolding, Busemann estimates, convergence profiles.
 
-Two measurement regimes share the chart machinery.  `local_distance` is the
-honest metric on the surface itself: any geodesic is a chain of straight
-chords whose interior breakpoints are conical points, so a small Dijkstra runs
-over the cone classes as hubs with chord legs found by best-first unfolding
-under angular-window pruning.  The asymptotic operations (`busemann`,
-`equidistant_reparam`, `convergence_profile`) instead measure separations
-between developed lifts in a shared development frame: a traced geodesic
-develops to a straight line, points are lifted to the face copy that the
-distance search's own chord reaches (face copies are enumerated only when the
-minimiser bends at a cone), and each reported distance is the Euclidean
-separation of the developed images.  That separation equals the geodesic
-distance between the lifts whenever the straight chord between them is
-realizable on the surface, and is a lower bound in general, since any lifted
-path develops to a plane path of the same length.  Working with the developed
-lines keeps the Busemann limit available in closed form and makes convergence
-profiles of asymptotic pairs exactly monotone, which no quotient measurement
-can provide: quotient distances are bounded by the diameter and oscillate as
-foreign sheets dip closer.
+One unfolding engine, the windowed chord search `_chords`, serves every
+measurement.  `local_distance` is the honest metric on the surface itself:
+any geodesic is a chain of straight chords whose interior breakpoints are
+conical points, so a small Dijkstra runs over the cone classes as hubs with
+chord legs found by best-first unfolding under angular-window pruning.  The
+asymptotic operations (`busemann`, `equidistant_reparam`,
+`convergence_profile`) instead measure separations between developed lifts in
+a shared development frame: a traced geodesic develops to a straight line, a
+point is lifted to the developed endpoint of a minimiser (`lift_point`), or,
+to find a fellow traveller, to every copy that a straight chord reaches
+(`_enumerate_lifts`), and each reported distance is the Euclidean separation
+of the developed images.  That separation equals the geodesic distance
+between the lifts whenever the straight chord between them is realizable on
+the surface, and is a lower bound in general, since any lifted path develops
+to a plane path of the same length.  Working with the developed lines keeps
+the Busemann limit available in closed form and makes convergence profiles of
+asymptotic pairs exactly monotone, which no quotient measurement can provide:
+quotient distances are bounded by the diameter and oscillate as foreign
+sheets dip closer.
 """
 from __future__ import annotations
 
@@ -29,10 +30,7 @@ from .errors import ConeOnRayError, ExceedsRadiusError, NoBracketError, SearchTr
 from .geom import (
     PlaneIsometry,
     ang_diff,
-    centroid,
-    circumradius,
     dist_point_segment,
-    point_in_convex,
     subtend,
     window_contains,
     window_intersect,
@@ -45,50 +43,50 @@ NODE_BUDGET = 1_000_000
 MAX_TILT = 0.3  # radians between developed directions that can still fellow-travel
 
 
-def _place_key(place: PlaneIsometry):
-    """Key of a placement: its cos, sin and translation rounded to 1e-7."""
-    return (round(place.c * 1e7), round(place.s * 1e7),
-            round(place.tx * 1e7), round(place.ty * 1e7))
-
-
 @dataclass
 class _ChordResult:
     to_target: float = math.inf
     to_class: dict = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0
+    root: int = 0
     place: PlaneIsometry | None = None
+    copies: list = field(default_factory=list)
 
 
 def _chords(s: ConeSurface, roots, target, cap: float,
-            skip_zero: bool = False) -> _ChordResult:
+            every_copy: bool = False) -> _ChordResult:
     """Minimal realizable straight chords from the given sources.
 
     roots: list of (face, px, py, window, place) sources sharing one notional
     origin (a point gets one full-circle root; a cone apex gets one wedge root
-    per corner).  target: (face, x, y) or None.  The search is best-first by
-    the distance to a node's entry edge and stops at `cap` or, once a chord to
-    the target is known, at that chord: a node farther out cannot shorten it
-    (the pruning rule of window propagation).  So `to_target` is the minimal
-    chord to the target of length at most `cap`, and `place` is the placement
-    of the target's face copy that this chord reaches, while `to_class` is exact
-    only for the cone classes closer than `to_target`; a class farther out
-    may be missing or carry a longer chord.  `complete` is False when the
-    node budget or the depth cap cut the search short.
+    per corner, and no chord from an apex ends at that apex).  target: a point
+    (face, x and y) or None.  The search is best-first by the distance to a
+    node's entry edge and stops at `cap` or, once a chord to the target is
+    known, at that chord: a node farther out cannot shorten it (the pruning
+    rule of window propagation).  So `to_target` is the minimal chord to the
+    target of length at most `cap`; it leaves root index `root` and reaches
+    the target's face copy placed by `place` in that root's chart.
+    `to_class` maps a cone class to the (length, root, place, corner) of its
+    chord, `corner` being the (face, vertex) of the placed face copy where
+    the chord meets the apex; it is exact only for the cone classes closer
+    than `to_target`, and a class farther out may be missing or carry a
+    longer chord.  With `every_copy` the search does not stop at its best
+    chord: `copies` collects the placement of every target copy that a chord
+    of length at most `cap` reaches, and `to_target` stays infinite.
+    `complete` is False when the node budget or the depth cap cut the search
+    short.
     """
     res = _ChordResult()
-    best_to_class = res.to_class
-    heap = []
-    counter = 0
-    for face, px, py, window, place in roots:
-        heapq.heappush(heap, (0.0, counter, face, px, py, place, -1, window, 0))
-        counter += 1
-
-    if target is not None and isinstance(target, SurfacePoint):
-        target = (target.face, target.x, target.y)
+    to_class = res.to_class
+    skip_zero = roots[0][3] is not None  # only apex roots carry a window
+    tface, tx, ty = (-1, 0.0, 0.0) if target is None else (target.face, target.x, target.y)
+    heap = [(0.0, i, face, px, py, place, -1, window, 0, i)
+            for i, (face, px, py, window, place) in enumerate(roots)]
+    counter = len(heap)
 
     while heap:
-        lb, _, face, px, py, place, entry, window, depth = heapq.heappop(heap)
+        lb, _, face, px, py, place, entry, window, depth, root = heapq.heappop(heap)
         if lb > cap or lb > res.to_target:
             break
         res.nodes += 1
@@ -96,13 +94,15 @@ def _chords(s: ConeSurface, roots, target, cap: float,
             res.complete = False
             break
         placed = place.apply_polygon(s.faces[face])
-        if target is not None and face == target[0]:
-            qx, qy = place.apply(target[1], target[2])
+        if face == tface:
+            qx, qy = place.apply(tx, ty)
             d = math.hypot(qx - px, qy - py)
             if d < res.to_target and d <= cap:
                 if depth == 0 or window_contains(window, math.atan2(qy - py, qx - px)):
-                    res.to_target = d
-                    res.place = place
+                    if every_copy:
+                        res.copies.append(place)
+                    else:
+                        res.to_target, res.root, res.place = d, root, place
         for v in s.conical_vertices[face]:
             vx, vy = placed[v]
             d = math.hypot(vx - px, vy - py)
@@ -110,11 +110,12 @@ def _chords(s: ConeSurface, roots, target, cap: float,
                 continue
             if d > cap:
                 continue
-            key = s.vertex_class[(face, v)]
-            if d >= best_to_class.get(key, math.inf):
+            corner = (face, v)
+            key = s.vertex_class[corner]
+            if key in to_class and d >= to_class[key][0]:
                 continue
             if depth == 0 or window_contains(window, math.atan2(vy - py, vx - px)):
-                best_to_class[key] = d
+                to_class[key] = (d, root, place, corner)
         if depth >= MAX_DEPTH:
             res.complete = False
             continue
@@ -133,7 +134,8 @@ def _chords(s: ConeSurface, roots, target, cap: float,
             nb = s.neighbours[face][e]
             heapq.heappush(
                 heap,
-                (lb2, counter, nb.face, px, py, place.compose(nb.placement), nb.edge, w2, depth + 1),
+                (lb2, counter, nb.face, px, py, place.compose(nb.placement), nb.edge, w2, depth + 1,
+                 root),
             )
             counter += 1
     return res
@@ -175,16 +177,21 @@ def local_distance(s: ConeSurface, x: SurfacePoint, y: SurfacePoint, radius: flo
     SearchTruncated when the node budget or the depth cap stops an unfolding
     search before it could prove its answer minimal.
     """
-    return _witness(s, x, y, radius)[0]
+    return lift_point(s, x, y, radius)[0]
 
 
-def _witness(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
-             radius: float) -> tuple[float, PlaneIsometry | None]:
-    """`local_distance` together with the placement of its minimiser when that is straight.
+def lift_point(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
+               radius: float) -> tuple[float, PlaneIsometry]:
+    """`local_distance` together with the developed lift of y along a minimiser.
 
-    The placement is the chart placement, in x's chart, of y's face copy that
-    the minimal straight chord reaches; it is None when a route through a cone
-    apex is shorter, i.e. when the minimiser bends.
+    The lift is the chart placement, in x's chart, of the copy of y's face at
+    the developed endpoint of the minimiser from x to y.  A straight minimiser
+    ends in the face copy its chord reaches, at distance exactly d from x.  A
+    bent minimiser is the chain of chords through the cone apices the
+    Dijkstra settled; it develops chord by chord, turning counterclockwise
+    about each apex from the corner where one chord arrives to the corner
+    where the next leaves.  The developed chain has length d, so the lift lies
+    within d of x.  Raises as `local_distance` does.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -193,27 +200,41 @@ def _witness(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
         return 0.0, PlaneIsometry.identity()
 
     first = _complete(_chords(s, _point_roots(s, x), y, radius))
-    best = first.to_target
-    dist = dict(first.to_class)
+    best, last = first.to_target, (None, first.root, first.place)
+    # reach[c]: (distance to class c, the class before it or None, the chord into it)
+    reach = {c: (hit[0], None, hit) for c, hit in first.to_class.items()}
     settled: set[int] = set()
-    heap = [(d, c) for c, d in dist.items()]
+    heap = [(r[0], c) for c, r in reach.items()]
     heapq.heapify(heap)
     while heap:
         d, c = heapq.heappop(heap)
-        if c in settled or d > dist.get(c, math.inf) or d >= best or d > radius:
+        if c in settled or d > reach[c][0] or d >= best or d > radius:
             continue
         settled.add(c)
-        leg = _complete(_chords(s, _class_roots(s, c), y, min(radius, best) - d, skip_zero=True))
+        leg = _complete(_chords(s, _class_roots(s, c), y, min(radius, best) - d))
         if d + leg.to_target < best:
-            best = d + leg.to_target
-        for c2, d2 in leg.to_class.items():
-            nd = d + d2
-            if nd < dist.get(c2, math.inf) and nd < best:
-                dist[c2] = nd
+            best, last = d + leg.to_target, (c, leg.root, leg.place)
+        for c2, hit in leg.to_class.items():
+            nd = d + hit[0]
+            if nd < best and (c2 not in reach or nd < reach[c2][0]):
+                reach[c2] = (nd, c, hit)
                 heapq.heappush(heap, (nd, c2))
-    if best <= radius:
-        return best, first.place if best == first.to_target else None
-    raise ExceedsRadiusError(radius, None if math.isinf(best) else best)
+    if best > radius:
+        raise ExceedsRadiusError(radius, None if math.isinf(best) else best)
+    # develop back from y: the leg out of class c leaves its corner `root`, and
+    # the chord into c arrives at `corner`, placed by `turn` in the chart of the
+    # leg before
+    c, root, place = last
+    while c is not None:
+        _, prev, (_, prev_root, turn, corner) = reach[c]
+        out = s.class_corners[c][root]
+        while corner != (out.face, out.vertex):
+            nb = s._corner_successor(*corner)
+            turn = turn.compose(nb.placement)
+            corner = (nb.face, nb.edge)
+        place = turn.compose(place)
+        c, root = prev, prev_root
+    return best, place
 
 
 def shortest_saddle_connection(s: ConeSurface) -> float:
@@ -226,8 +247,8 @@ def shortest_saddle_connection(s: ConeSurface) -> float:
     cap = 4.0 * s.diam_hint
     while math.isinf(best) and cap <= 64.0 * s.diam_hint:
         for c in classes:
-            res = _complete(_chords(s, _class_roots(s, c), None, cap, skip_zero=True))
-            for d in res.to_class.values():
+            res = _complete(_chords(s, _class_roots(s, c), None, cap))
+            for d, *_ in res.to_class.values():
                 if d < best:
                     best = d
         cap *= 2.0
@@ -248,87 +269,16 @@ def _ray_line(start: TangentState):
     return start.x, start.y, math.cos(start.direction), math.sin(start.direction)
 
 
-def _enumerate_lifts(s: ConeSurface, base: TangentState, target_face: int,
-                     radius: float, start_place: PlaneIsometry | None = None):
-    """All chart placements of target_face whose placed copy meets the radius disc.
+def _enumerate_lifts(s: ConeSurface, base, target, radius: float) -> list[PlaneIsometry]:
+    """Placements of every copy of target's face whose target copy a straight chord reaches.
 
-    The breadth-first walk stops after 20000 face copies, and a walk cut there
-    returns the placements found so far without saying so.
+    The chords leave the base point and have length at most `radius`; one
+    complete windowed search, not stopped at its best chord, finds them all.
+    Base and target need only a face, x and y, so traced states serve.
+    Raises SearchTruncated when the node budget or the depth cap cuts the
+    search short.
     """
-    if start_place is None:
-        start_place = PlaneIsometry.identity()
-    # a copy whose circumscribed disc misses the radius disc by more than the
-    # geometric tolerance has every edge beyond the radius, so it is skipped
-    # before its vertices are placed; rounding cannot flip that decision
-    discs = [(centroid(poly), circumradius(poly) + radius + s.eps_geom) for poly in s.faces]
-    # a dict, not a set: with ~10^5 keys its table takes less memory
-    seen = {(base.face,) + _place_key(start_place): None}
-    out = []
-    frontier = [(base.face, start_place)]
-    steps = 0
-    while frontier and steps < 20000:
-        nxt = []
-        for face, place in frontier:
-            steps += 1
-            (cx, cy), reach = discs[face]
-            mx, my = place.apply(cx, cy)
-            if math.hypot(mx - base.x, my - base.y) > reach:
-                continue
-            placed = place.apply_polygon(s.faces[face])
-            # keep the copy when it holds the base or an edge comes within the radius
-            if not point_in_convex(placed, base.x, base.y) and not any(
-                dist_point_segment(base.x, base.y, *placed[i - 1], *placed[i]) <= radius
-                for i in range(len(placed))
-            ):
-                continue
-            if face == target_face:
-                out.append(place)
-            for nb in s.neighbours[face]:
-                child = place.compose(nb.placement)
-                key = (nb.face,) + _place_key(child)
-                if key in seen:
-                    continue
-                seen[key] = None
-                nxt.append((nb.face, child))
-        frontier = nxt
-    return out
-
-
-def lift_point(s: ConeSurface, base: TangentState, x: SurfacePoint,
-               start_place: PlaneIsometry | None = None,
-               ref_dist: float | None = None) -> PlaneIsometry:
-    """Chart placement of a copy of x near the base point's development, by enumeration.
-
-    The placed image is never farther than the geodesic distance from the base
-    to x: the geodesic develops to a plane path of its own length, so its
-    endpoint copy lies within that radius and the minimum over copies can only
-    be closer.  When the geodesic distance is supplied as `ref_dist`, the copy
-    realizing it is preferred over overlap-sheet copies that develop closer
-    without a realizable straight chord.  `busemann` takes its lifts from the
-    distance search's own chord and calls this only when the minimiser bends
-    at a cone.  Raises ValueError when x is not on the surface; `base` is a
-    point in a development and may lie outside its face.
-    """
-    _check_on_surface(s, x)
-    cap = 4.0 * s.diam_hint
-    if ref_dist is not None:
-        cap = max(ref_dist + 0.1 * s.diam_hint, 0.5 * s.diam_hint)
-    while cap <= 256.0 * s.diam_hint:
-        best = witness = None
-        for place in _enumerate_lifts(s, base, x.face, cap, start_place):
-            px, py = place.apply(x.x, x.y)
-            d = math.hypot(px - base.x, py - base.y)
-            if best is None or d < best[0]:
-                best = (d, place)
-            if ref_dist is not None and abs(d - ref_dist) <= 1e-7:
-                if witness is None or d < witness[0]:
-                    witness = (d, place)
-        if witness is not None:
-            return witness[1]
-        if best is not None and best[0] <= cap:
-            return best[1]
-        cap *= 2.0
-    raise ExceedsRadiusError(cap, None)
+    return _complete(_chords(s, _point_roots(s, base), target, radius, every_copy=True)).copies
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +302,15 @@ def busemann(
     """Estimate the Busemann difference d(x', ray(t)) - d(x, ray(t)) along the schedule.
 
     The ray develops to a straight line from its start chart; x is lifted to
-    the copy that the minimal chord from the ray's base reaches, and x' to the
-    copy that the minimal chord from x's lift reaches.  The copies come from
-    the distance searches themselves; only when a minimiser bends at a cone is
-    its lift found by enumerating face copies (`lift_point`), which places the
-    copy realizing the distance or, failing that, the nearest one.  So the
-    separation of the two lifts never exceeds the geodesic distance d(x, x'),
-    and equals it when the minimiser from x to x' is straight.  Each
-    alpha_t is the difference of the Euclidean separations from the lifts to
-    the developed ray point.  The estimate has converged once two successive
-    alpha_t agree within 1e-4 * diam_hint.  Raises ValueError when x or x' is
-    not on the surface.
+    the developed endpoint of the minimiser from the ray's base, and x' to the
+    developed endpoint of the minimiser from x's lift (`lift_point`).  A
+    developed minimiser has the length of the geodesic, so the separation of
+    the two lifts never exceeds d(x, x'), and equals it when the minimiser
+    from x to x' is straight; a bent one develops strictly shorter unless its
+    turns add up to a straight line.  Each alpha_t is the difference of the
+    Euclidean separations from the lifts to the developed ray point.  The
+    estimate has converged once two successive alpha_t agree within
+    1e-4 * diam_hint.  Raises ValueError when x or x' is not on the surface.
     """
     if schedule is None:
         schedule = [s.diam_hint * 2.0 ** k for k in range(8)]
@@ -376,16 +324,9 @@ def busemann(
         )
     bx, by, ex, ey = _ray_line(ray.start)
     base_pt = SurfacePoint(ray.start.face, ray.start.x, ray.start.y)
-    d_x, place_x = _witness(s, base_pt, x, 16.0 * s.diam_hint)
-    if place_x is None:
-        place_x = lift_point(s, ray.start, x, ref_dist=d_x)
+    _, place_x = lift_point(s, base_pt, x, 16.0 * s.diam_hint)
+    place_xp = place_x.compose(lift_point(s, x, x_prime, 16.0 * s.diam_hint)[1])
     lx = place_x.apply(x.x, x.y)
-    d_xp, w = _witness(s, x, x_prime, 16.0 * s.diam_hint)
-    if w is None:
-        anchor = TangentState(x.face, lx[0], lx[1], 0.0)
-        place_xp = lift_point(s, anchor, x_prime, start_place=place_x, ref_dist=d_xp)
-    else:
-        place_xp = place_x.compose(w)
     lxp = place_xp.apply(x_prime.x, x_prime.y)
     history = []
     converged = False
@@ -406,20 +347,23 @@ def busemann(
 # equidistant reparametrization and convergence profiles
 
 def _frame_candidates(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath, radius: float):
-    """Placements of g2's development into g1's frame, roughly co-directed.
+    """Lifts of g2's development into g1's frame, roughly co-directed.
 
-    Each candidate is (z0, e2, place): the placed base point and unit
-    direction of g2's developed line.  Placements whose direction differs
-    from g1's by more than MAX_TILT cannot fellow-travel and are dropped.
+    The lifts are the copies of g2's base that a straight chord of length at
+    most `radius` from g1's base reaches, so each is realizable and none lies
+    closer than the surface distance of the two bases.  Each candidate is
+    (z0, e2): the placed base point and unit direction of g2's developed
+    line.  Copies whose direction differs from g1's by more than MAX_TILT
+    cannot fellow-travel and are dropped.
     """
     out = []
-    for place in _enumerate_lifts(s, g1.start, g2.start.face, radius):
+    for place in _enumerate_lifts(s, g1.start, g2.start, radius):
         tilt = abs(ang_diff(place.apply_dir(g2.start.direction), g1.start.direction))
         if tilt > MAX_TILT:
             continue
         z0 = place.apply(g2.start.x, g2.start.y)
         d2 = place.apply_dir(g2.start.direction)
-        out.append((z0, (math.cos(d2), math.sin(d2)), place))
+        out.append((z0, (math.cos(d2), math.sin(d2))))
     return out
 
 
@@ -448,10 +392,12 @@ def _closest_u(line1, z0, e2, c: float) -> float:
 def equidistant_reparam(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath) -> float:
     """Time shift c making g1(c) equidistant with g2(0) from g1's endpoint at infinity.
 
-    g2 is lifted to every placement that can fellow-travel g1's developed
-    line; for each, the Busemann limit along a straight line is available in
-    closed form, so c is the projection of the base offset onto g1's
-    direction.  Candidates whose separation grows over the traced window are
+    g2 is lifted to every copy of its base that a straight chord from g1's
+    base reaches within 2 * (d + diam_hint) + 2 * diam_hint, d being the
+    distance of the bases, and whose direction can fellow-travel g1's
+    developed line; for each, the Busemann limit along a straight line is
+    available in closed form, so c is the projection of the base offset onto
+    g1's direction.  Candidates whose separation grows over the traced window are
     rejected; ties (a flat cylinder defines c only up to its period) resolve
     to the smallest shift.  Both paths must be cone-free up to
     min(128 * diam_hint, g1.length).  Raises NoBracket when no lift
@@ -475,11 +421,7 @@ def equidistant_reparam(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath) -> f
 
     last_reason = "paths spread apart after reparametrization"
     roots = []
-    for z0, e2, _place in candidates:
-        # overlap-sheet phantom: a placed base closer than the surface distance
-        # means the straight chord to that copy is not realizable
-        if math.hypot(z0[0] - line1[0], z0[1] - line1[1]) < sep - 10.0 * tol:
-            continue
+    for z0, e2 in candidates:
         # Busemann limit of g1's line at the lifted base of g2, in closed form
         c = (z0[0] - line1[0]) * line1[2] + (z0[1] - line1[1]) * line1[3]
         # fellow-traveling check over the whole traced window: an asymptotic
@@ -516,8 +458,10 @@ def convergence_profile(
 ):
     """Sampled distances d(g1(t), g2(t)) on [0, horizon]; callers reparametrize first.
 
-    The distance follows the pair: g2 is lifted once to the placement that
-    fellow-travels g1's developed line and every sample is the separation of
+    The distance follows the pair: among the copies of g2's base that a
+    straight chord from g1's base reaches within d + 2 * diam_hint (d being
+    the distance of the bases), g2 is lifted once to the one that
+    fellow-travels g1's developed line, and every sample is the separation of
     the developed lifts at parameter t.  That separation is convex in t, which
     is what makes asymptotic profiles non-increasing; the quotient distance is
     a minimum over all sheets and rebounds after a foreign sheet dips below
@@ -537,11 +481,8 @@ def convergence_profile(
     # the tracked lift: fellow-travels (non-increasing separation) and starts
     # nearest; deck translates along the flight direction shrink from farther out
     best = None
-    for z0, e2, _place in candidates:
+    for z0, e2 in candidates:
         d0 = _pair_sep(line1, z0, e2, 0.0, 0.0)
-        if d0 < sep - 10.0 * tol:
-            # overlap-sheet phantom; the chord to that copy is not realizable
-            continue
         du = _pair_sep(line1, z0, e2, 0.0, h)
         if du <= d0 + 10.0 * tol and _closest_u(line1, z0, e2, 0.0) >= h - 1e-9:
             if best is None or (du, d0) < best[0]:

@@ -130,11 +130,11 @@ class ConeSurface:
         a_prev = math.atan2(py - vy, px - vx)
         return Corner(face, vertex, a_next, norm_angle(a_prev - a_next), fan_start)
 
-    def _corner_successor(self, face: int, vertex: int) -> tuple[int, int]:
+    def _corner_successor(self, face: int, vertex: int) -> Neighbour:
         # Rotating CCW about the vertex leaves the face across edge (face, vertex-1);
-        # the shared vertex is the END of that directed edge, hence the START of its partner.
-        nb = self.neighbours[face][(vertex - 1) % len(self.faces[face])]
-        return (nb.face, nb.edge)
+        # the shared vertex is the END of that directed edge, hence the START of its
+        # partner: the next corner is (nb.face, nb.edge), placed by nb.placement.
+        return self.neighbours[face][(vertex - 1) % len(self.faces[face])]
 
     def _build_vertex_classes(self):
         seen: dict[tuple[int, int], int] = {}
@@ -156,7 +156,8 @@ class ConeSurface:
                 corner = self.corners[cur] = self._corner(cur[0], cur[1], total)
                 fan.append(corner)
                 total += corner.interior_angle
-                cur = self._corner_successor(*cur)
+                nb = self._corner_successor(*cur)
+                cur = (nb.face, nb.edge)
                 if cur == start:
                     break
                 if cur in seen:  # inconsistent gluing; malformed input

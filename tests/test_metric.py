@@ -267,21 +267,8 @@ def test_busemann_lipschitz_and_monotone(octagon):
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
-# queries whose minimiser from x to x' bends at a cone, so that busemann lifts
-# x' by enumeration: (ray direction, x, x'); the octagon's is criterion 7's
-BENT_QUERIES = {
-    "octagon6pi": (2.847227441940403, (-0.2780692674681221, 0.08430308071884868),
-                   (-0.3602186753525416, -0.9165558827092606)),
-    "decagon4pi4pi": (3.8485628675173906, (-0.21464231561794903, -0.18336338656569978),
-                      (0.6176876180693398, -0.6942699537086543)),
-}
-
-
-@pytest.mark.parametrize("name,seed", [("octagon6pi", 61), ("decagon4pi4pi", 67)])
-def test_busemann_lifts_match_enumeration(name, seed, monkeypatch):
-    # the lifts taken from the distance searches' chords place x and x'
-    # bit-exactly where enumerating face copies (lift_point) places them
-    s = builtin(name)
+def _seeded_queries(s, seed):
+    """Ten seeded Busemann queries (ray, x, x'): x near the base of a cone-free ray."""
     rng = np.random.default_rng(seed)
     queries = []
     while len(queries) < 10:
@@ -289,25 +276,69 @@ def test_busemann_lifts_match_enumeration(name, seed, monkeypatch):
         if not ray.cone_hits:
             x = point_at(ray, rng.uniform(0.0, 0.3))
             queries.append((ray, x, _random_points(s, rng, 1)[0]))
-    theta, x, xp = BENT_QUERIES[name]
-    queries.append((trace(s, TangentState(0, 0.0, 0.0, theta), 130.0),
-                    SurfacePoint(0, *x), SurfacePoint(0, *xp)))
+    return queries
 
-    enumerate_lifts, witness = metric._enumerate_lifts, metric._witness
-    calls = []
-    monkeypatch.setattr(metric, "_enumerate_lifts",
-                        lambda *a, **k: calls.append(1) or enumerate_lifts(*a, **k))
-    enumerated = []
-    for ray, x, xp in queries:
-        n = len(calls)
-        est = busemann(s, ray, x, xp)
-        enumerated.append(len(calls) > n)
-        with monkeypatch.context() as m:
-            # both placements by lift_point(ref_dist=d), as before the witness
-            m.setattr(metric, "_witness", lambda *a: (witness(*a)[0], None))
-            ref = busemann(s, ray, x, xp)
-        assert repr(est) == repr(ref)
-    assert enumerated[-1] and not all(enumerated)
+
+# the seeded queries whose minimiser from x to x' bends at a cone
+SEEDED_BENT = {"octagon6pi": [], "decagon4pi4pi": [7]}
+# sha256 of the reprs of the straight queries' estimates
+STRAIGHT_DIGESTS = {
+    "octagon6pi": "193bf35f089fedd37243121ef5e2e6830c0278c95d211e36e566396d083b657e",
+    "decagon4pi4pi": "535064bb17415ae72233d429b8bf69b7c444270ad4c6eaba5eb359c7b2aabe99",
+}
+
+
+@pytest.mark.parametrize("name,seed", [("octagon6pi", 61), ("decagon4pi4pi", 67)])
+def test_busemann_lifts_match_enumeration(name, seed):
+    # a straight minimiser lifts x' to the nearest copy that a straight chord
+    # from x reaches, among all the copies `_enumerate_lifts` collects, and the
+    # estimates of the straight queries stay bit-exact
+    s = builtin(name)
+    reprs = []
+    for i, (ray, x, xp) in enumerate(_seeded_queries(s, seed)):
+        d, place = metric.lift_point(s, x, xp, 16.0)
+        lifted = place.apply(xp.x, xp.y)
+        # a straight minimiser's lift lies at the distance d(x, x')
+        straight = abs(math.dist(lifted, (x.x, x.y)) - d) <= 1e-12
+        assert straight == (i not in SEEDED_BENT[name])
+        if not straight:
+            continue
+        copies = [p.apply(xp.x, xp.y) for p in metric._enumerate_lifts(s, x, xp, d + 1e-9)]
+        nearest = min(copies, key=lambda q: math.dist(q, (x.x, x.y)))
+        assert math.dist(nearest, lifted) <= 1e-12
+        reprs.append(repr(busemann(s, ray, x, xp)))
+    assert hashlib.sha256(repr(reprs).encode()).hexdigest() == STRAIGHT_DIGESTS[name]
+
+
+# queries whose minimiser from x to x' bends at a cone: (ray direction, x, x');
+# the octagon's is criterion 7's, the decagon's second is its seeded query 7 above
+BENT_QUERIES = [
+    ("octagon6pi", 2.847227441940403, (-0.2780692674681221, 0.08430308071884868),
+     (-0.3602186753525416, -0.9165558827092606)),
+    ("decagon4pi4pi", 3.8485628675173906, (-0.21464231561794903, -0.18336338656569978),
+     (0.6176876180693398, -0.6942699537086543)),
+    ("decagon4pi4pi", 2.0597490972164887, (-0.12117642454808385, 0.22775651369842115),
+     (-0.665481530168798, -0.6148644891462276)),
+]
+
+
+@pytest.mark.parametrize("name,theta,x,xp", BENT_QUERIES)
+def test_busemann_bent_lift_develops_minimiser(name, theta, x, xp):
+    # the lift of x' is the developed end of the chain x -> apex -> x', whose
+    # length is d(x, x'); it bends, so the lift lies strictly closer than d
+    s = builtin(name)
+    x, xp = SurfacePoint(0, *x), SurfacePoint(0, *xp)
+    d, place = metric.lift_point(s, x, xp, 16.0)
+    lx, ly = place.apply(xp.x, xp.y)
+    assert math.hypot(lx - x.x, ly - x.y) < d - 1e-9
+    apices = metric._chords(s, metric._point_roots(s, x), None, d).to_class.values()
+    chains = []
+    for to_apex, _, apex_place, (face, vertex) in apices:
+        ax, ay = apex_place.apply(*s.faces[face][vertex])
+        chains.append(to_apex + math.hypot(lx - ax, ly - ay))
+    assert min(abs(c - d) for c in chains) <= 1e-12
+    est = busemann(s, trace(s, TangentState(0, 0.0, 0.0, theta), 130.0), x, xp)
+    assert abs(est.value) <= d
 
 
 def test_point_not_on_surface(octagon):
@@ -318,8 +349,9 @@ def test_point_not_on_surface(octagon):
     ray = trace(octagon, TangentState(0, 0.0, 0.0, 0.3), 10.0)
     with pytest.raises(ValueError):
         busemann(octagon, ray, origin, SurfacePoint(0, 5.0, 5.0))
-    with pytest.raises(ValueError):
-        metric.lift_point(octagon, ray.start, SurfacePoint(0, 5.0, 5.0))
+    for args in ((SurfacePoint(0, 5.0, 5.0), origin), (origin, SurfacePoint(0, 5.0, 5.0))):
+        with pytest.raises(ValueError):
+            metric.lift_point(octagon, *args, 16.0)
     # a point on an edge, as point_at returns it, is on the surface
     on_edge = point_at(trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 5.0), APOTHEM)
     assert local_distance(octagon, origin, on_edge, 16.0) == pytest.approx(APOTHEM, abs=1e-12)
@@ -403,6 +435,17 @@ def test_profile_converging_pair(octagon):
     assert vals[-1] < 0.5 * vals[0]
 
 
+def test_reparam_shift_of_the_shared_copy(octagon):
+    # criterion 9's pairs start in one chart, aimed at a common far point: the
+    # shift is that of the copy of g2 they share, the projection of b2 - b1 onto e1
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        g1, g2 = _aimed_pair(octagon, rng.uniform(0, 2 * math.pi), 0.5, 950.0)
+        b1, b2 = g1.start, g2.start
+        want = (b2.x - b1.x) * math.cos(b1.direction) + (b2.y - b1.y) * math.sin(b1.direction)
+        assert equidistant_reparam(octagon, g1, g2) == pytest.approx(want, abs=1e-12)
+
+
 def test_profile_requires_fellow_traveler(octagon):
     g1 = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 40.0)
     g2 = trace(octagon, TangentState(0, 0.0, 0.1, math.pi), 40.0)
@@ -419,8 +462,8 @@ def test_profile_matches_compare_paths_rate(octagon):
 
 
 # ---------------------------------------------------------------------------
-# exactness gate: shortcuts in the unfolding search and the lift enumeration
-# must not move any output bit (sha256 of the repr of seeded outputs)
+# exactness gate: shortcuts in the unfolding search must not move any
+# distance bit (sha256 of the repr of seeded outputs)
 
 EXACT_RADII = (0.3, 1.0, 2.0, 16.0)
 
@@ -448,23 +491,14 @@ def _exactness_records(s, seed):
                 rec.append(("d", r, local_distance(s, a, b, r)))
             except ConetraceError as exc:
                 rec.append(("d", r, type(exc).__name__, getattr(exc, "best", None)))
-    for p in pts[:3]:
-        base = TangentState(0, p.x, p.y, 0.0)
-        for r in (0.5, 2.0):
-            rec.append(("lifts", r, metric._enumerate_lifts(s, base, 0, r)))
-    for a, b in pairs[:3]:
-        base = TangentState(0, a.x, a.y, 0.0)
-        rec.append(("lift", metric.lift_point(s, base, b)))
-        d = local_distance(s, a, b, 16.0)
-        rec.append(("lift_ref", metric.lift_point(s, base, b, ref_dist=d)))
     return rec
 
 
 @pytest.mark.parametrize("name,seed,digest", [
-    ("octagon6pi", 41, "d8b3cecc643a947080f8be0d085a2662b3f21adb2b1bd5dfeb8bbd2276cae86a"),
-    ("decagon4pi4pi", 43, "ec7665073bba3f3f12b3a623988afbcecf2d620bde645becd3b47feb7df8f201"),
+    ("octagon6pi", 41, "51996bd636bd571844d1675c8a83aeee6a3f81c04de09ce906fff28084a4a90c"),
+    ("decagon4pi4pi", 43, "bccb82377ef80e0f2a92cb2cf16e661e24c7ab2ab4172abfb323c5c65d81c216"),
 ])
-def test_distances_and_lifts_bit_exact(name, seed, digest):
+def test_distances_bit_exact(name, seed, digest):
     rec = _exactness_records(builtin(name), seed)
     assert hashlib.sha256(repr(rec).encode()).hexdigest() == digest
 
@@ -488,3 +522,5 @@ def test_truncated_search_raises(octagon, monkeypatch, limit, value):
         local_distance(octagon, SurfacePoint(0, 0.9, 0.0), SurfacePoint(0, -0.9, 0.0), 16.0)
     with pytest.raises(SearchTruncatedError):
         shortest_saddle_connection(octagon)
+    with pytest.raises(SearchTruncatedError):
+        metric._enumerate_lifts(octagon, SurfacePoint(0, 0.9, 0.0), SurfacePoint(0, -0.9, 0.0), 2.0)
