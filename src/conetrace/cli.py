@@ -147,17 +147,17 @@ def _cmd_gb_audit(args):
     return 0
 
 
-def _trace(s, start, length):
-    """Trace from a command-line start; a start outside its face is a usage error."""
+def _checked(fn, *args):
+    """fn(*args) on command-line values; a ValueError, a value fn rejects, is a usage error."""
     try:
-        return trace(s, start, length)
+        return fn(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _trace_from_args(s, args):
     x, y = _parse_pair(args.start, "--start")
-    return _trace(s, TangentState(args.face, x, y, args.direction), args.length)
+    return _checked(trace, s, TangentState(args.face, x, y, args.direction), args.length)
 
 
 def _event_rows(path):
@@ -206,10 +206,7 @@ def _cmd_develop(args):
 
 def _shorten_word(s, args):
     """Shorten the --word loop; a word that does not fit the surface is a usage error."""
-    try:
-        return shorten(s, Loop(_parse_word(args.word)))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _checked(lambda: shorten(s, Loop(_parse_word(args.word))))
 
 
 def _cmd_shorten(args):
@@ -246,7 +243,7 @@ def _cmd_unique_search(args):
 def _cmd_busemann(args):
     s = _load_surface(args)
     rx, ry = _parse_pair(args.ray_start, "--ray-start")
-    ray = _trace(s, TangentState(args.ray_face, rx, ry, args.ray_dir), args.horizon)
+    ray = _checked(trace, s, TangentState(args.ray_face, rx, ry, args.ray_dir), args.horizon)
     x = _parse_point(s, args.x, "--x")
     xp = _parse_point(s, args.x_prime, "--x-prime")
     schedule = [float(v) for v in args.schedule.split(",")] if args.schedule else None
@@ -263,8 +260,8 @@ def _cmd_converge(args):
     s = _load_surface(args)
     x1, y1 = _parse_pair(args.start1, "--start1")
     x2, y2 = _parse_pair(args.start2, "--start2")
-    g1 = _trace(s, TangentState(args.face1, x1, y1, args.dir1), args.horizon * 1.5)
-    g2 = _trace(s, TangentState(args.face2, x2, y2, args.dir2), args.horizon * 1.5)
+    g1 = _checked(trace, s, TangentState(args.face1, x1, y1, args.dir1), args.horizon * 1.5)
+    g2 = _checked(trace, s, TangentState(args.face2, x2, y2, args.dir2), args.horizon * 1.5)
     c = equidistant_reparam(s, g1, g2)
     if abs(c) > 1e-12:
         from .tracer import time_shift
@@ -286,7 +283,7 @@ def _cmd_mix(args):
     s = _load_surface(args)
     co = _parse_cell(args.cell_o, "--cell-o")
     cu = _parse_cell(args.cell_u, "--cell-u")
-    rep = hit_times(s, co, cu, args.horizon, args.dt, args.samples, seed=args.seed)
+    rep = _checked(hit_times, s, co, cu, args.horizon, args.dt, args.samples, args.seed)
     rows = ["bin_index,t_lo,t_hi,hit"]
     for k, h in enumerate(rep.hit_bins):
         rows.append(f"{k},{_g(k * args.dt)},{_g((k + 1) * args.dt)},{int(h)}")
@@ -301,7 +298,7 @@ def _cmd_transit(args):
     s = _load_surface(args)
     co = _parse_cell(args.cell_o, "--cell-o")
     cu = _parse_cell(args.cell_u, "--cell-u")
-    res = transitivity_scan(s, co, cu, args.horizon, args.dt, args.samples, seed=args.seed)
+    res = _checked(transitivity_scan, s, co, cu, args.horizon, args.dt, args.samples, args.seed)
     rows = ["t"]
     rows.extend(_g(t) for t in res.times)
     rows.append(f"# success {res.success}")
@@ -313,7 +310,9 @@ def _cmd_transit(args):
 
 def _cmd_cone_approach(args):
     s = _load_surface(args)
-    rows_out, quantiles = cone_approach_experiment(s, args.trajectories, args.length, seed=args.seed)
+    rows_out, quantiles = _checked(
+        cone_approach_experiment, s, args.trajectories, args.length, args.seed
+    )
     rows = ["trajectory,final_min_distance"]
     for i, d in rows_out:
         rows.append(f"{i},{_g(d)}")

@@ -5,6 +5,12 @@ direction sectors; membership is exact per trace segment, so hit times are
 computed without sampling the flow in time.  All randomness is drawn from
 per-sample seeded generators, making every report reproducible regardless of
 scheduling.
+
+`hit_times`, and so `transitivity_scan`, traces all samples of a scan at once
+with the batched stepper `tracer._trace_batch` and clips its segments against
+the target cell as arrays; the result is bit-equal to tracing each sample with
+`tracer.trace`, the reference the tests compare it with.  The other
+experiments trace with `trace`.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ import numpy as np
 from .errors import EmptyCellError
 from .geom import TWO_PI, clip_convex, norm_angle, signed_area
 from .surface import ConeSurface
-from .tracer import GeodesicPath, TangentState, min_cone_distance_profile, trace
+from .tracer import TangentState, _trace_batch, min_cone_distance_profile, trace
 
 # a face's bounding box is cut into NX x NY position boxes, the circle into NDIR sectors
 NX = 16
@@ -64,11 +70,17 @@ def cell_region(s: ConeSurface, cell: PhaseCell):
     return clip_convex(s.faces[cell.face], cell.box(s))
 
 
-def _uniform_point(poly, rng) -> tuple[float, float]:
-    """Uniform point of a convex polygon: a fan triangle by area, then two uniforms."""
+def _fan(poly):
+    """Fan triangles of a convex polygon and their shares of its area."""
     tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
     areas = np.array([abs(signed_area(list(t))) for t in tris])
-    k = int(rng.choice(len(tris), p=areas / areas.sum()))
+    return tris, areas / areas.sum()
+
+
+def _uniform_point(fan, rng) -> tuple[float, float]:
+    """Uniform point of a convex polygon given by its `_fan`: a triangle by area, then two uniforms."""
+    tris, shares = fan
+    k = int(rng.choice(len(tris), p=shares))
     a, b, c = tris[k]
     u, v = rng.random(), rng.random()
     if u + v > 1.0:
@@ -78,17 +90,46 @@ def _uniform_point(poly, rng) -> tuple[float, float]:
     return x, y
 
 
-def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
-    """Uniform sample of (position, direction) in the cell; deterministic per generator."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+def _check_cell(s: ConeSurface, cell: PhaseCell):
+    """Raise ValueError for a cell off the NX x NY x NDIR grid of a face of the surface."""
+    if not (
+        0 <= cell.face < len(s.faces)
+        and 0 <= cell.ix < NX
+        and 0 <= cell.iy < NY
+        and 0 <= cell.idir < NDIR
+    ):
+        raise ValueError(
+            f"cell {cell.face},{cell.ix},{cell.iy},{cell.idir} is not on the"
+            f" {NX}x{NY}x{NDIR} grid of a face of the surface"
+        )
+
+
+def _cell_sampler(s: ConeSurface, cell: PhaseCell):
+    """Draw function of `sample_cell` for one cell, with its region and fan computed once."""
+    _check_cell(s, cell)
     region = cell_region(s, cell)
     if len(region) < 3 or abs(signed_area(region)) < 1e-15:
         raise EmptyCellError(f"cell {cell} does not meet face {cell.face}")
-    x, y = _uniform_point(region, rng)
+    fan = _fan(region)
     d0, d1 = cell.dir_interval()
-    direction = d0 + rng.random() * (d1 - d0)
-    return TangentState(cell.face, x, y, norm_angle(direction))
+
+    def draw(rng) -> TangentState:
+        x, y = _uniform_point(fan, rng)
+        direction = d0 + rng.random() * (d1 - d0)
+        return TangentState(cell.face, x, y, norm_angle(direction))
+
+    return draw
+
+
+def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
+    """Uniform sample of (position, direction) in the cell; deterministic per generator.
+
+    Raises ValueError for a cell off the grid and EmptyCellError for a cell
+    that does not meet its face.
+    """
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    return _cell_sampler(s, cell)(rng)
 
 
 @dataclass
@@ -104,55 +145,27 @@ class MixingReport:
     cone_discards: int
 
 
-def _segment_hits(s, cell: PhaseCell, path: GeodesicPath, dt: float, nbins: int, hits):
-    """Mark every time bin during which the path sits inside the cell."""
-    x0, y0, x1, y1 = cell.box(s)
-    d0, d1 = cell.dir_interval()
-    arc = 0.0
-    for seg in path.segments:
-        if seg.face == cell.face and d0 <= seg.direction <= d1:
-            lo, hi = _slab_clip(seg, x0, y0, x1, y1)
-            if lo is not None:
-                b0 = int((arc + lo) / dt)
-                b1 = int((arc + hi) / dt)
-                if b0 < nbins:
-                    hits[b0 : min(b1, nbins - 1) + 1] = True
-        arc += seg.length
-    return hits
+def _box_interval(st, box):
+    """Slab clip of every segment of a `tracer._Steps` against the box.
 
-
-def _slab_clip(seg, x0, y0, x1, y1):
-    """Arc-length interval of the segment inside the box, or (None, None)."""
-    px, py = seg.entry
-    ux, uy = math.cos(seg.direction), math.sin(seg.direction)
-    lo, hi = 0.0, seg.length
-    for p, u, lo_w, hi_w in ((px, ux, x0, x1), (py, uy, y0, y1)):
-        if abs(u) < 1e-300:
-            if not lo_w <= p <= hi_w:
-                return None, None
-            continue
-        t0 = (lo_w - p) / u
-        t1 = (hi_w - p) / u
-        if t0 > t1:
-            t0, t1 = t1, t0
-        lo = max(lo, t0)
-        hi = min(hi, t1)
-        if lo > hi:
-            return None, None
-    return lo, hi
-
-
-def _sample_trace(s, cell, horizon, seed, sample_idx):
-    """Trace one sample from the cell, resampling cone hits; returns (path, discards)."""
-    discards = 0
-    for attempt in range(MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, sample_idx, attempt])
-        st = sample_cell(s, cell, rng)
-        path = trace(s, st, horizon)
-        if path.length >= horizon - 1e-9:
-            return path, discards
-        discards += 1
-    return path, discards
+    Returns (lo, hi, meets): the arc-length interval [lo, hi] of each segment
+    inside the box, valid where `meets` is True.
+    """
+    x0, y0, x1, y1 = box
+    lo = np.zeros_like(st.length)
+    hi = st.length
+    meets = np.ones(lo.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p, u, lo_w, hi_w in ((st.x, st.dx, x0, x1), (st.y, st.dy, y0, y1)):
+            flat = np.abs(u) < 1e-300
+            meets &= ~flat | ((lo_w <= p) & (p <= hi_w))
+            t0 = (lo_w - p) / u
+            t1 = (hi_w - p) / u
+            t0, t1 = np.where(t0 > t1, t1, t0), np.where(t0 > t1, t0, t1)
+            lo = np.where(~flat & (t0 > lo), t0, lo)
+            hi = np.where(~flat & (t1 < hi), t1, hi)
+            meets &= ~(lo > hi)
+    return lo, hi, meets
 
 
 def hit_times(
@@ -164,16 +177,63 @@ def hit_times(
     n_samples: int,
     seed: int = 0,
 ) -> MixingReport:
-    """Mark the time bins in which some flow sample from O visits U."""
+    """Mark the time bins in which some flow sample from O visits U.
+
+    Sample i is drawn from O by `sample_cell` with the generator seeded
+    [seed, i, attempt] and traced for `horizon`.  A sample that meets a cone
+    point is drawn again with attempt + 1, and each such draw counts as a
+    cone discard; after MAX_ATTEMPTS draws the last, short path is kept.  A
+    sample marks every bin [k dt, (k+1) dt) in which one of its segments lies
+    in U's box with a direction in U's sector.
+
+    All pending samples of an attempt are traced as one batch by
+    `tracer._trace_batch`, and its segments are clipped against U's box as
+    arrays; a path that met a cone is traced once more to take its marks
+    back.  The report is bit-equal to tracing each sample with `tracer.trace`,
+    which the tests use as the reference.  Raises ValueError for a
+    non-positive horizon, dt or n_samples, and for a cell that is not on the
+    NX x NY x NDIR grid of a face of the surface.
+    """
     if horizon <= 0 or dt <= 0 or n_samples <= 0:
         raise ValueError("horizon, dt and n_samples must be positive")
+    _check_cell(s, cell_u)
     nbins = math.ceil(horizon / dt)
-    hits = np.zeros(nbins, dtype=bool)
+    draw = _cell_sampler(s, cell_o)
+    box = cell_u.box(s)
+    d0, d1 = cell_u.dir_interval()
+    # +1 where a range of visited bins starts, -1 just past its end
+    marks = np.zeros(nbins + 1, dtype=np.int64)
+
+    def visits(samples, attempt, sign):
+        # trace the samples' draws as one batch, add `sign` over the bins each
+        # path spends in U, and return the length of each path
+        states = (draw(np.random.default_rng([seed, i, attempt])) for i in samples)
+        length = np.empty(len(samples))
+        for st in _trace_batch(s, states, horizon):
+            np.copyto(length, st.arc + st.length, where=st.run)
+            lo, hi, meets = _box_interval(st, box)
+            meets &= st.run & (st.face == cell_u.face) & (d0 <= st.direction) & (st.direction <= d1)
+            if meets.any():
+                arc = st.arc[meets]
+                first = ((arc + lo[meets]) / dt).astype(np.int64)
+                last = ((arc + hi[meets]) / dt).astype(np.int64)
+                keep = first < nbins
+                np.add.at(marks, first[keep], sign)
+                np.add.at(marks, np.minimum(last[keep], nbins - 1) + 1, -sign)
+        return length
+
     discards = 0
-    for i in range(n_samples):
-        path, d = _sample_trace(s, cell_o, horizon, seed, i)
-        discards += d
-        _segment_hits(s, cell_u, path, dt, nbins, hits)
+    pending = list(range(n_samples))
+    for attempt in range(MAX_ATTEMPTS):
+        short = visits(pending, attempt, 1) < horizon - 1e-9
+        discards += int(short.sum())  # each path that met a cone
+        if attempt == MAX_ATTEMPTS - 1 or not short.any():
+            break  # the last attempt keeps its short paths
+        # a sample whose path met a cone is drawn again: take that path's visits
+        # back, tracing it once more from the same draw
+        pending = [pending[i] for i in np.flatnonzero(short).tolist()]
+        visits(pending, attempt, -1)
+    hits = np.cumsum(marks[:nbins]) > 0
     first_hit = None
     idx = np.flatnonzero(hits)
     if idx.size:
@@ -231,7 +291,7 @@ def random_state(s: ConeSurface, rng) -> TangentState:
     """Uniform random unit tangent vector (area-weighted face, uniform direction)."""
     areas = np.array([signed_area(f) for f in s.faces])
     face = int(rng.choice(len(s.faces), p=areas / areas.sum()))
-    x, y = _uniform_point(s.faces[face], rng)
+    x, y = _uniform_point(_fan(s.faces[face]), rng)
     return TangentState(face, x, y, rng.random() * TWO_PI)
 
 
@@ -239,8 +299,11 @@ def cone_approach_experiment(s: ConeSurface, n_trajectories: int, length: float,
     """Final running-minimum cone distance of random trajectories.
 
     Returns (rows, quantiles): rows are (trajectory id, final running min);
-    a trajectory that hits a cone point scores zero.
+    a trajectory that hits a cone point scores zero.  Raises ValueError for
+    fewer than one trajectory or a negative length.
     """
+    if n_trajectories < 1 or length < 0:
+        raise ValueError("n_trajectories must be positive and length nonnegative")
     rows = []
     for i in range(n_trajectories):
         rng = np.random.default_rng([seed, i])

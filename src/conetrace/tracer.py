@@ -5,11 +5,19 @@ changes applied at glued edges.  Hitting a conical vertex (within the capture
 radius) always ends a trace, with a ConeHit as its last event; cone_scatter
 continues from the hit, and the continuation must keep both side angles at
 least pi.
+
+`trace` follows one geodesic and builds its segments and events; every
+caller uses it except the transitivity scans of `dynamics.hit_times`, which
+trace all their samples at once through the private `_trace_batch`.  That
+stepper repeats `trace`'s arithmetic operation for operation on numpy
+arrays, so each of its lanes is bit-equal to `trace`, which stays the
+reference it is tested against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ChartMismatchError,
@@ -18,8 +26,11 @@ from .errors import (
     NotALoopError,
     OutOfWindowError,
 )
-from .geom import PlaneIsometry, ang_diff, norm_angle
+from .geom import TWO_PI, PlaneIsometry, ang_diff, norm_angle
 from .surface import ConeSurface, SurfacePoint, places_along
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_EVENTS = 1_000_000  # events in one trace before EventBudgetExceededError
 
@@ -155,6 +166,162 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
 
     end = TangentState(face, px, py, d)
     return GeodesicPath(start, end, segments, events, arc)
+
+
+class _Steps(NamedTuple):
+    """One step of `_trace_batch`: the next segment of every lane still running.
+
+    Row i belongs to lane i and holds a segment only where `run[i]` is True;
+    the other rows are lanes that have stopped, and hold stale values.  A
+    segment is as `trace` records it: chart `face`, entry (x, y), exit
+    (qx, qy), `length` and `direction`, with (dx, dy) the cos/sin `trace` uses
+    for that direction and `arc` the arc length at the entry.  `cone` is the
+    vertex class of the cone hit that ends the segment, or -1, and `vertex`
+    the corner of `face` at that hit.  A lane's last segment ends at its end
+    state, and `arc + length` there is its path length.
+    """
+
+    run: np.ndarray
+    face: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    qx: np.ndarray
+    qy: np.ndarray
+    length: np.ndarray
+    direction: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    arc: np.ndarray
+    cone: np.ndarray
+    vertex: np.ndarray
+
+
+def _trace_batch(s: ConeSurface, states, length: float):
+    """Trace every start of `states` for `length` at once; yields one `_Steps` per face crossing.
+
+    Each step finds the exit edge of every lane with one vectorised ray/edge
+    solve against its face's edge rows, then moves the lanes that cross into
+    the next chart.  A lane stops at the end of its length or at a cone hit,
+    and the batch ends when every lane has stopped; lanes keep their rows, so
+    arrays keep their size.  Lane i is `trace(s, states[i], length)`
+    operation for operation, with the same errors: its segments are that
+    trace's segments bit for bit, and a hit is its ConeHit.  The per-face
+    tables are built in each call.
+    """
+    # imported here so that importing the package loads numpy no earlier than
+    # `dynamics` does: loading it first raised the import's peak memory ~2 MB
+    import numpy as np
+
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    # one pass, so that `states` may be an iterator that builds each state on demand
+    starts = []
+    for st in states:
+        if not s.contains(SurfacePoint(st.face, st.x, st.y), tol=10 * s.eps_geom):
+            raise ValueError("start point is not inside its face")
+        starts.append((st.face, st.x, st.y, norm_angle(st.direction)))
+    # edge rows and chart steps of every face, padded to the largest face; a
+    # padding edge has a zero normal, so no ray leaves through it
+    nf, width = len(s.faces), max(len(f) for f in s.faces)
+    rows = np.zeros((6, nf, width))
+    steps = np.zeros((5, nf * width))
+    enter = np.zeros(nf * width, dtype=np.int64)
+    for f in range(nf):
+        for e, (row, nb) in enumerate(zip(s.edge_rows[f], s.neighbours[f])):
+            rows[:, f, e] = row
+            tr = nb.transition
+            steps[:, f * width + e] = (tr.c, tr.s, tr.tx, tr.ty, tr.rot)
+            enter[f * width + e] = nb.face
+    ax, ay, nx, ny = rows[:4]
+    corners = rows[[0, 1, 4, 5]].reshape(4, -1)  # (ax, ay, bx, by) by face * width + edge
+
+    n = len(starts)
+    face, px, py, d = np.array(starts, dtype=float).reshape(n, 4).T.copy()
+    face = face.astype(np.int64)
+    dx = np.array([math.cos(a) for a in d.tolist()])
+    dy = np.array([math.sin(a) for a in d.tolist()])
+    arc = np.zeros(n)
+    remaining = np.full(n, float(length))
+    run = np.ones(n, dtype=bool)
+    first_edge = np.arange(n) * width  # offset of row i in the flattened (n, width) solve
+    crossed = 0  # crossings so far, the same for every running lane
+    guard = -100.0 * s.eps_geom
+    eps_v = s.eps_vertex
+
+    while run.any():
+        # t = ((ax - px) nx + (ay - py) ny) / (dx nx + dy ny) per lane and edge,
+        # in place in four (lanes, width) arrays
+        fn_x, fn_y = nx.take(face, 0), ny.take(face, 0)
+        denom = dx[:, None] * fn_x
+        t = dy[:, None] * fn_y
+        denom += t
+        ax.take(face, 0, out=t)
+        t -= px[:, None]
+        t *= fn_x
+        u = ay.take(face, 0, out=fn_x)
+        u -= py[:, None]
+        u *= fn_y
+        t += u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t /= denom
+        # trace's first strict minimum of guard < t, over edges facing the ray
+        t[~((denom > 1e-300) & (t > guard))] = math.inf
+        e = t.argmin(axis=1)
+        best = t.take(first_edge + e)
+        best = np.where(best < 0.0, 0.0, best)
+        ends = best >= remaining  # an inf best is no exit edge
+        seg = np.where(ends, remaining, best)
+        qx = px + seg * dx
+        qy = py + seg * dy
+        cone = np.full(n, -1, dtype=np.int64)
+        vertex = np.full(n, -1, dtype=np.int64)
+
+        # conical vertex capture at either endpoint of the exit edge: a box of
+        # twice the capture radius picks the candidates, math.hypot decides
+        k = face * width + e
+        va_x, va_y, vb_x, vb_y = corners.take(k, 1)
+        box = 2.0 * eps_v
+        near = run & ~ends & (
+            ((np.abs(qx - va_x) <= box) & (np.abs(qy - va_y) <= box))
+            | ((np.abs(qx - vb_x) <= box) & (np.abs(qy - vb_y) <= box))
+        )
+        for i in np.flatnonzero(near).tolist():
+            f, ei, x, y = int(face[i]), int(e[i]), float(qx[i]), float(qy[i])
+            for vx, vy, vidx in (
+                (float(va_x[i]), float(va_y[i]), ei),
+                (float(vb_x[i]), float(vb_y[i]), (ei + 1) % len(s.faces[f])),
+            ):
+                if math.hypot(x - vx, y - vy) <= eps_v:
+                    cid = s.vertex_class[(f, vidx)]
+                    if s.is_conical(cid):
+                        cone[i] = cid
+                        vertex[i] = vidx
+                    break
+
+        go = run & ~ends & (cone < 0)
+        if crossed >= MAX_EVENTS and go.any():
+            raise EventBudgetExceededError(f"more than {MAX_EVENTS} events")
+        yield _Steps(run, face, px, py, qx, qy, seg, d, dx, dy, arc, cone, vertex)
+
+        c, sn, tx, ty, rot = steps.take(k, 1)
+        px = np.where(go, c * qx - sn * qy + tx, px)
+        py = np.where(go, sn * qx + c * qy + ty, py)
+        turned = np.fmod(d + rot, TWO_PI)
+        turned = np.where(turned < 0.0, turned + TWO_PI, turned)
+        # a direction the chart step changed (bitwise, so 0.0 differs from -0.0)
+        # gets trace's math.cos/math.sin; np.cos may differ from them by an ulp
+        moved = np.flatnonzero(go & (turned.view(np.int64) != d.view(np.int64)))
+        d = np.where(go, turned, d)
+        if moved.size:
+            a = d[moved].tolist()
+            dx, dy = dx.copy(), dy.copy()
+            dx[moved] = [math.cos(v) for v in a]
+            dy[moved] = [math.sin(v) for v in a]
+        face = np.where(go, enter.take(k), face)
+        arc = np.where(go, arc + seg, arc)
+        remaining = np.where(go, remaining - best, remaining)
+        run = go
+        crossed += 1
 
 
 def state_at(path: GeodesicPath, t: float) -> TangentState:

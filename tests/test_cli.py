@@ -139,6 +139,29 @@ def test_point_not_on_surface(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+CELLS = ["--horizon", "10", "--cell-o", "0,4,8,10", "--cell-u", "0,11,8,10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transit", *CELLS, "--cell-o", "1,4,8,10"],
+    ["transit", *CELLS, "--cell-o", "0,4,8,70"],
+    ["transit", *CELLS, "--cell-o", "0,4,8,-1"],
+    ["transit", *CELLS, "--cell-u", "0,40,8,10"],
+    ["mix", *CELLS, "--samples", "0"],
+    ["transit", *CELLS, "--samples", "0"],
+    ["mix", *CELLS, "--dt", "0"],
+    ["transit", *CELLS, "--dt", "0"],
+    ["cone-approach", "--trajectories", "0", "--length", "5"],
+], ids=["cell-face", "cell-idir-high", "cell-idir-negative", "cell-u-ix", "mix-samples",
+        "transit-samples", "mix-dt", "transit-dt", "cone-approach-trajectories"])
+def test_bad_experiment_args(capsys, tmp_path, argv):
+    # the octagon has one face and a 16x16x64 grid of cells; the later --cell-o
+    # or --cell-u replaces the one in CELLS
+    assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unique_search_artifact(tmp_path):
     assert run(tmp_path, "unique-search", "--builtin", "octagon6pi", "--budget", "200") == 0
     text = read(tmp_path, "unique.txt")

@@ -1,4 +1,5 @@
 """Phase cells, transitivity scans, cone-approach statistics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 
 from conetrace import (
     PhaseCell,
+    builtin,
     cone_approach_experiment,
     hit_times,
     sample_cell,
+    trace,
     transitivity_scan,
 )
-from conetrace.dynamics import cell_region, random_state
+from conetrace import dynamics
+from conetrace.dynamics import MixingReport, cell_region, random_state
 from conetrace.errors import EmptyCellError
 from conetrace.geom import point_in_convex, signed_area
 
@@ -46,6 +50,9 @@ def test_sample_cell_in_bounds(octagon):
 def test_sample_empty_cell_raises(octagon):
     with pytest.raises(EmptyCellError):
         sample_cell(octagon, PhaseCell(0, 0, 0, 0), np.random.default_rng(0))
+    # sector 70 is off the grid: its direction interval lies beyond 2*pi
+    with pytest.raises(ValueError):
+        sample_cell(octagon, PhaseCell(0, 4, 8, 70), np.random.default_rng(0))
 
 
 def test_hit_times_deterministic(octagon):
@@ -62,6 +69,70 @@ def test_hit_times_validates_args(octagon):
         hit_times(octagon, o, u, -1.0, 2.0, 20)
     with pytest.raises(ValueError):
         hit_times(octagon, o, u, 100.0, 2.0, 0)
+    with pytest.raises(ValueError):
+        hit_times(octagon, o, u, 100.0, 0.0, 20)
+    # a face not on the surface, and indices off the NX x NY x NDIR grid
+    for bad in (PhaseCell(1, 4, 8, 10), PhaseCell(-1, 4, 8, 10), PhaseCell(0, 16, 8, 10),
+                PhaseCell(0, 4, -1, 10), PhaseCell(0, 4, 8, 64), PhaseCell(0, 4, 8, -1)):
+        with pytest.raises(ValueError):
+            hit_times(octagon, bad, u, 100.0, 2.0, 20)
+        with pytest.raises(ValueError):
+            hit_times(octagon, o, bad, 100.0, 2.0, 20)
+    with pytest.raises(ValueError):
+        cone_approach_experiment(octagon, 0, 10.0)
+
+
+def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
+    """hit_times sample by sample through the scalar trace: the reference for the batch."""
+    nbins = math.ceil(horizon / dt)
+    hits = np.zeros(nbins, dtype=bool)
+    discards = 0
+    x0, y0, x1, y1 = cell_u.box(s)
+    d0, d1 = cell_u.dir_interval()
+    for i in range(n_samples):
+        for attempt in range(dynamics.MAX_ATTEMPTS):
+            st = sample_cell(s, cell_o, np.random.default_rng([seed, i, attempt]))
+            path = trace(s, st, horizon)
+            if path.length >= horizon - 1e-9:
+                break
+            discards += 1  # the last attempt's short path is still binned
+        arc = 0.0
+        for seg in path.segments:
+            lo, hi = 0.0, seg.length
+            inside = seg.face == cell_u.face and d0 <= seg.direction <= d1
+            u = (math.cos(seg.direction), math.sin(seg.direction))
+            for p, w, lo_w, hi_w in zip(seg.entry, u, (x0, y0), (x1, y1)):
+                if abs(w) < 1e-300:
+                    inside &= lo_w <= p <= hi_w
+                    continue
+                t0, t1 = sorted(((lo_w - p) / w, (hi_w - p) / w))
+                lo, hi = max(lo, t0), min(hi, t1)
+            b0 = int((arc + lo) / dt)
+            if inside and lo <= hi and b0 < nbins:
+                hits[b0 : min(int((arc + hi) / dt), nbins - 1) + 1] = True
+            arc += seg.length
+    idx = np.flatnonzero(hits)
+    frac = (np.cumsum(hits[::-1]) / np.arange(1, nbins + 1))[::-1]
+    ok = np.flatnonzero(frac >= dynamics.HIT_FRACTION)
+    return MixingReport(cell_o, cell_u, horizon, dt, hits, idx[0] * dt if idx.size else None,
+                        ok[0] * dt if ok.size else None, n_samples, discards)
+
+
+@pytest.mark.parametrize("max_attempts", [1, 2, 64])
+def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
+    # a capture radius of 0.05 makes most samples meet a cone, so re-draws,
+    # discards and the kept short path of the last attempt all occur
+    s = builtin("octagon6pi")
+    s.eps_vertex = 0.05
+    monkeypatch.setattr(dynamics, "MAX_ATTEMPTS", max_attempts)
+    o = PhaseCell(0, 4, 8, 10)
+    for u in (PhaseCell(0, 11, 8, 10), o):
+        got = hit_times(s, o, u, 30.0, 0.5, 100, seed=7)
+        want = _scalar_hit_times(s, o, u, 30.0, 0.5, 100, 7)
+        assert want.cone_discards > 0 and want.hit_bins.any()
+        for field in dataclasses.fields(MixingReport):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert repr(a) == repr(b), field.name
 
 
 def test_transitivity_same_sector_cells(octagon):

@@ -7,6 +7,7 @@ import pytest
 
 from conetrace import (
     TangentState,
+    builtin,
     compare_paths,
     cone_scatter,
     develop,
@@ -21,6 +22,8 @@ from conetrace import (
     word_holonomy,
 )
 from conetrace import tracer
+from conetrace.dynamics import random_state
+from conetrace.surface import parse_surface
 from conetrace.errors import (
     ChartMismatchError,
     EventBudgetExceededError,
@@ -59,6 +62,78 @@ def test_event_budget(octagon, monkeypatch):
     monkeypatch.setattr(tracer, "MAX_EVENTS", 5)
     with pytest.raises(EventBudgetExceededError):
         trace(octagon, TangentState(0, 0.0, 0.0, 0.37), 50.0)
+    with pytest.raises(EventBudgetExceededError):
+        list(tracer._trace_batch(octagon, [TangentState(0, 0.0, 0.0, 0.37)], 50.0))
+
+
+# two unit squares glued into a torus: two faces, and vertices that are not conical
+TWO_SQUARES = (
+    "surface two_squares\nface 0 4 0 0 1 0 1 1 0 1\nface 1 4 0 0 1 0 1 1 0 1\n"
+    "glue 0.0 1.2\nglue 0.2 1.0\nglue 0.1 1.3\nglue 0.3 1.1\n"
+)
+
+
+def _batch_starts(s, seed):
+    """200 seeded random states, starts aimed at and leaving every corner, and starts
+    a hair outside every edge heading out (an exit at t <= 0: trace's guard and clamp)."""
+    rng = np.random.default_rng(seed)
+    starts = [random_state(s, rng) for _ in range(200)]
+    for f, poly in enumerate(s.faces):
+        cx = sum(p[0] for p in poly) / len(poly)
+        cy = sum(p[1] for p in poly) / len(poly)
+        for vx, vy in poly:
+            starts.append(TangentState(f, cx, cy, math.atan2(vy - cy, vx - cx)))
+            starts.append(TangentState(f, vx, vy, math.atan2(cy - vy, cx - vx)))
+        for ax, ay, nx, ny, bx, by in s.edge_rows[f]:
+            k = 5 * s.eps_geom / math.hypot(nx, ny)
+            starts.append(TangentState(f, (ax + bx) / 2 + k * nx, (ay + by) / 2 + k * ny,
+                                       math.atan2(ny, nx) + 0.3))
+    return starts
+
+
+def _scalar_lane(s, start, length):
+    """trace's path as the batch reports it: segment rows, end state, cone hit, length."""
+    path = trace(s, start, length)
+    rows, arc = [], 0.0
+    for seg in path.segments:
+        rows.append((seg.face, *seg.entry, *seg.exit, seg.length, seg.direction,
+                     math.cos(seg.direction), math.sin(seg.direction), arc))
+        arc += seg.length
+    hits = [(h.vclass, h.face, h.vertex, h.arc_length) for h in path.cone_hits]
+    end = (path.end.face, path.end.x, path.end.y, path.end.direction)
+    return rows, end, hits, path.length
+
+
+def _batch_lanes(s, starts, length):
+    rows = [[] for _ in starts]
+    hits = [[] for _ in starts]
+    for st in tracer._trace_batch(s, starts, length):
+        for i in np.flatnonzero(st.run).tolist():
+            rows[i].append(tuple(col[i].item() for col in st[1:11]))
+            if st.cone[i] >= 0:
+                hits[i].append((st.cone[i].item(), st.face[i].item(), st.vertex[i].item(),
+                                (st.arc[i] + st.length[i]).item()))
+    out = []
+    for r, h in zip(rows, hits):
+        face, _, _, qx, qy, seg_len, direction, _, _, arc = r[-1]
+        out.append((r, (face, qx, qy, direction), h, arc + seg_len))
+    return out
+
+
+@pytest.mark.parametrize("name", ["octagon6pi", "decagon4pi4pi", "two_squares"])
+@pytest.mark.parametrize("length", [0.0, 40.0])
+def test_batch_matches_trace(name, length):
+    # every lane of the batched stepper is bit-equal to the scalar trace:
+    # segments, end state, cone hit and length (repr tells -0.0 from 0.0)
+    s = parse_surface(TWO_SQUARES) if name == "two_squares" else builtin(name)
+    starts = _batch_starts(s, seed=71)
+    lanes = _batch_lanes(s, starts, length)
+    for start, lane in zip(starts, lanes):
+        assert repr(lane) == repr(_scalar_lane(s, start, length)), start
+    if length and s.conical_classes:
+        # each start aimed at a conical corner ends there
+        assert sum(bool(lane[2]) for lane in lanes) >= sum(
+            len(s.conical_vertices[f]) for f in range(len(s.faces)))
 
 
 def _hit(octagon):
