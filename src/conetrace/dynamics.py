@@ -42,6 +42,17 @@ class PhaseCell:
     idir: int
 
     def box(self, s: ConeSurface):
+        """The position box in the face's chart; ValueError for a cell off the grid of s."""
+        if not (
+            0 <= self.face < len(s.faces)
+            and 0 <= self.ix < NX
+            and 0 <= self.iy < NY
+            and 0 <= self.idir < NDIR
+        ):
+            raise ValueError(
+                f"cell {self.face},{self.ix},{self.iy},{self.idir} is not on the"
+                f" {NX}x{NY}x{NDIR} grid of a face of the surface"
+            )
         xs = [p[0] for p in s.faces[self.face]]
         ys = [p[1] for p in s.faces[self.face]]
         wx = (max(xs) - min(xs)) / NX
@@ -66,8 +77,12 @@ class PhaseCell:
 
 
 def cell_region(s: ConeSurface, cell: PhaseCell):
-    """Intersection polygon of the cell's box with its face (possibly empty)."""
-    return clip_convex(s.faces[cell.face], cell.box(s))
+    """Intersection polygon of the cell's box with its face (possibly empty).
+
+    Raises ValueError for a cell off the grid, as `PhaseCell.box` does.
+    """
+    box = cell.box(s)
+    return clip_convex(s.faces[cell.face], box)
 
 
 def _fan(poly):
@@ -90,23 +105,8 @@ def _uniform_point(fan, rng) -> tuple[float, float]:
     return x, y
 
 
-def _check_cell(s: ConeSurface, cell: PhaseCell):
-    """Raise ValueError for a cell off the NX x NY x NDIR grid of a face of the surface."""
-    if not (
-        0 <= cell.face < len(s.faces)
-        and 0 <= cell.ix < NX
-        and 0 <= cell.iy < NY
-        and 0 <= cell.idir < NDIR
-    ):
-        raise ValueError(
-            f"cell {cell.face},{cell.ix},{cell.iy},{cell.idir} is not on the"
-            f" {NX}x{NY}x{NDIR} grid of a face of the surface"
-        )
-
-
 def _cell_sampler(s: ConeSurface, cell: PhaseCell):
     """Draw function of `sample_cell` for one cell, with its region and fan computed once."""
-    _check_cell(s, cell)
     region = cell_region(s, cell)
     if len(region) < 3 or abs(signed_area(region)) < 1e-15:
         raise EmptyCellError(f"cell {cell} does not meet face {cell.face}")
@@ -196,7 +196,6 @@ def hit_times(
     """
     if horizon <= 0 or dt <= 0 or n_samples <= 0:
         raise ValueError("horizon, dt and n_samples must be positive")
-    _check_cell(s, cell_u)
     nbins = math.ceil(horizon / dt)
     draw = _cell_sampler(s, cell_o)
     box = cell_u.box(s)

@@ -31,6 +31,9 @@ def test_cell_region_outside_face(octagon):
     # the octagon misses its bounding-box corners
     region = cell_region(octagon, PhaseCell(0, 0, 0, 0))
     assert len(region) < 3 or abs(signed_area(region)) < 1e-12
+    # the octagon has one face
+    with pytest.raises(ValueError):
+        cell_region(octagon, PhaseCell(1, 4, 8, 10))
 
 
 def test_sample_cell_in_bounds(octagon):

@@ -73,6 +73,16 @@ TWO_SQUARES = (
 )
 
 
+def _octagon_cut():
+    """octagon6pi cut along the diagonal v0-v3 into a quad and a hexagon: faces of unequal size."""
+    v = [(math.cos((2 * k - 1) * math.pi / 8), math.sin((2 * k - 1) * math.pi / 8)) for k in range(8)]
+    face = lambda i, idx: f"face {i} {len(idx)} " + " ".join(f"{c!r}" for k in idx for c in v[k])
+    return parse_surface(
+        "surface octagon_cut\n" + face(0, [0, 1, 2, 3]) + "\n" + face(1, [3, 4, 5, 6, 7, 0]) + "\n"
+        "glue 0.0 1.1\nglue 0.1 1.2\nglue 0.2 1.3\nglue 1.0 1.4\nglue 0.3 1.5\n"
+    )
+
+
 def _batch_starts(s, seed):
     """200 seeded random states, starts aimed at and leaving every corner, and starts
     a hair outside every edge heading out (an exit at t <= 0: trace's guard and clamp)."""
@@ -120,12 +130,13 @@ def _batch_lanes(s, starts, length):
     return out
 
 
-@pytest.mark.parametrize("name", ["octagon6pi", "decagon4pi4pi", "two_squares"])
+@pytest.mark.parametrize("name", ["octagon6pi", "decagon4pi4pi", "two_squares", "octagon_cut"])
 @pytest.mark.parametrize("length", [0.0, 40.0])
 def test_batch_matches_trace(name, length):
     # every lane of the batched stepper is bit-equal to the scalar trace:
     # segments, end state, cone hit and length (repr tells -0.0 from 0.0)
-    s = parse_surface(TWO_SQUARES) if name == "two_squares" else builtin(name)
+    surfaces = {"two_squares": lambda: parse_surface(TWO_SQUARES), "octagon_cut": _octagon_cut}
+    s = surfaces.get(name, lambda: builtin(name))()
     starts = _batch_starts(s, seed=71)
     lanes = _batch_lanes(s, starts, length)
     for start, lane in zip(starts, lanes):
