@@ -71,8 +71,7 @@ def _parse_point(s, text, what):
         p = SurfacePoint(int(f), float(x), float(y))
     except ValueError:
         raise UsageError(f"expected face,x,y for {what}, got {text!r}")
-    # the tolerance tracer.trace allows a start point
-    if not s.contains(p, tol=10 * s.eps_geom):
+    if not s.contains(p):
         raise UsageError(f"{what} {text} is not inside its face")
     return p
 
@@ -235,7 +234,7 @@ def _cmd_cylinder(args):
 
 def _cmd_unique_search(args):
     s = _load_surface(args)
-    g = find_unique_closed(s, args.budget, seed=args.seed, max_word_len=args.max_word_len)
+    g = _checked(find_unique_closed, s, args.budget, args.seed, args.max_word_len)
     _write_artifact(args, "unique.txt", certificate_text(s, g).rstrip("\n").split("\n"))
     return 0
 
@@ -247,7 +246,7 @@ def _cmd_busemann(args):
     x = _parse_point(s, args.x, "--x")
     xp = _parse_point(s, args.x_prime, "--x-prime")
     schedule = [float(v) for v in args.schedule.split(",")] if args.schedule else None
-    est = busemann(s, ray, x, xp, schedule=schedule)
+    est = _checked(busemann, s, ray, x, xp, schedule)
     rows = ["t,alpha"]
     for t, a in est.history:
         rows.append(f"{_g(t)},{_g(a)}")
@@ -262,7 +261,7 @@ def _cmd_converge(args):
     x2, y2 = _parse_pair(args.start2, "--start2")
     g1 = _checked(trace, s, TangentState(args.face1, x1, y1, args.dir1), args.horizon * 1.5)
     g2 = _checked(trace, s, TangentState(args.face2, x2, y2, args.dir2), args.horizon * 1.5)
-    c = equidistant_reparam(s, g1, g2)
+    c = _checked(equidistant_reparam, s, g1, g2)
     if abs(c) > 1e-12:
         from .tracer import time_shift
 
@@ -270,7 +269,7 @@ def _cmd_converge(args):
             g1 = time_shift(g1, c)
         else:
             g2 = time_shift(g2, -c)
-    profile = convergence_profile(s, g1, g2, args.horizon, n_samples=args.samples)
+    profile = _checked(convergence_profile, s, g1, g2, args.horizon, args.samples)
     rows = ["t,distance"]
     for t, d in profile:
         rows.append(f"{_g(t)},{_g(d)}")

@@ -29,7 +29,6 @@ from .tracer import (
     Segment,
     TangentState,
     _placed_cone_vertices,
-    word_holonomy,
 )
 
 EPS_ANGLE = 1e-9
@@ -478,18 +477,14 @@ def shorten(
     loop: Loop | ClosedGeodesic,
     max_iters: int = 100_000,
 ) -> ClosedGeodesic:
-    """Shortest representative of the loop's free homotopy class."""
-    word = list(loop.crossings)
-    anchors = loop.anchors if isinstance(loop, ClosedGeodesic) else []
-    validate_word(s, word)
-    word = cyclic_reduce(s, word)
-    if not word:
-        raise NullHomotopicError("crossing word reduces to nothing")
-    if not anchors:
-        hol = word_holonomy(s, [(c.gluing, c.forward) for c in word])
-        if abs(hol.rot) <= 1e-9 and math.hypot(hol.tx, hol.ty) <= 100 * s.eps_geom:
-            raise NullHomotopicError("holonomy is the identity")
+    """Shortest representative of the loop's free homotopy class.
 
+    The shortener's first step reduces the word cyclically and fits the
+    holonomy's axis; a word that reduces to nothing, or whose holonomy is the
+    identity, raises NullHomotopicError there.
+    """
+    word = list(loop.crossings)
+    validate_word(s, word)
     sh = _Shortener(s, word)
     sh.run(max_iters)
     return _assemble_anchored(s, sh) if sh.arcs else _assemble_cyclic(s, sh)
@@ -663,9 +658,11 @@ def _arcs_from_anchors(s: ConeSurface, g: ClosedGeodesic):
 def find_unique_closed(
     s: ConeSurface, budget: int, seed: int = 0, max_word_len: int = 5
 ) -> ClosedGeodesic:
-    """Search random short homotopy classes for a geodesic unique in its class."""
+    """Search random homotopy classes of 2 to max_word_len crossings for a geodesic unique in its class."""
     if not s.conical_classes:
         raise ValueError("surface has no conical points")
+    if max_word_len < 2:
+        raise ValueError("max_word_len must be at least 2")
     rng = random.Random(seed)
     for _ in range(budget):
         length = rng.randint(2, max_word_len)

@@ -8,7 +8,8 @@ scheduling.
 
 `hit_times`, and so `transitivity_scan`, traces all samples of a scan at once
 with the batched stepper `tracer._trace_batch` and clips its segments against
-the target cell as arrays; the result is bit-equal to tracing each sample with
+the target cell as arrays; a path that met a cone marks no bin unless it is
+the last attempt's.  The result is bit-equal to tracing each sample with
 `tracer.trace`, the reference the tests compare it with.  The other
 experiments trace with `trace`.
 """
@@ -64,16 +65,6 @@ class PhaseCell:
     def dir_interval(self):
         w = TWO_PI / NDIR
         return (self.idir * w, (self.idir + 1) * w)
-
-    def contains(self, s: ConeSurface, st: TangentState) -> bool:
-        if st.face != self.face:
-            return False
-        x0, y0, x1, y1 = self.box(s)
-        if not (x0 <= st.x <= x1 and y0 <= st.y <= y1):
-            return False
-        d0, d1 = self.dir_interval()
-        d = norm_angle(st.direction)
-        return d0 <= d <= d1
 
 
 def cell_region(s: ConeSurface, cell: PhaseCell):
@@ -188,14 +179,16 @@ def hit_times(
 
     All pending samples of an attempt are traced as one batch by
     `tracer._trace_batch`, and its segments are clipped against U's box as
-    arrays; a path that met a cone is traced once more to take its marks
-    back.  The report is bit-equal to tracing each sample with `tracer.trace`,
-    which the tests use as the reference.  Raises ValueError for a
-    non-positive horizon, dt or n_samples, and for a cell that is not on the
-    NX x NY x NDIR grid of a face of the surface.
+    arrays.  While the batch runs, each stretch a path spends in U is noted
+    by (row, first bin, last bin); once it ends, the stretches of the paths
+    that met no cone mark their bins, and so do all of the last attempt's.
+    The report is bit-equal to tracing each sample with `tracer.trace`, which
+    the tests use as the reference.  Raises ValueError for a horizon or dt
+    that is not positive and finite, a non-positive n_samples, and a cell
+    that is not on the NX x NY x NDIR grid of a face of the surface.
     """
-    if horizon <= 0 or dt <= 0 or n_samples <= 0:
-        raise ValueError("horizon, dt and n_samples must be positive")
+    if not (0 < horizon < math.inf and 0 < dt < math.inf and n_samples > 0):
+        raise ValueError("horizon and dt must be positive and finite, n_samples positive")
     nbins = math.ceil(horizon / dt)
     draw = _cell_sampler(s, cell_o)
     box = cell_u.box(s)
@@ -203,35 +196,35 @@ def hit_times(
     # +1 where a range of visited bins starts, -1 just past its end
     marks = np.zeros(nbins + 1, dtype=np.int64)
 
-    def visits(samples, attempt, sign):
-        # trace the samples' draws as one batch, add `sign` over the bins each
-        # path spends in U, and return the length of each path
-        states = (draw(np.random.default_rng([seed, i, attempt])) for i in samples)
-        length = np.empty(len(samples))
+    discards = 0
+    pending = list(range(n_samples))
+    for attempt in range(MAX_ATTEMPTS):
+        states = (draw(np.random.default_rng([seed, i, attempt])) for i in pending)
+        length = np.empty(len(pending))
+        stretches = []  # (rows, first bins, last bins) of each step's visits to U
         for st in _trace_batch(s, states, horizon):
             np.copyto(length, st.arc + st.length, where=st.run)
             lo, hi, meets = _box_interval(st, box)
             meets &= st.run & (st.face == cell_u.face) & (d0 <= st.direction) & (st.direction <= d1)
             if meets.any():
-                arc = st.arc[meets]
-                first = ((arc + lo[meets]) / dt).astype(np.int64)
-                last = ((arc + hi[meets]) / dt).astype(np.int64)
-                keep = first < nbins
-                np.add.at(marks, first[keep], sign)
-                np.add.at(marks, np.minimum(last[keep], nbins - 1) + 1, -sign)
-        return length
-
-    discards = 0
-    pending = list(range(n_samples))
-    for attempt in range(MAX_ATTEMPTS):
-        short = visits(pending, attempt, 1) < horizon - 1e-9
+                rows = np.flatnonzero(meets)
+                arc = st.arc[rows]
+                first = ((arc + lo[rows]) / dt).astype(np.int64)
+                last = ((arc + hi[rows]) / dt).astype(np.int64)
+                stretches.append((rows, first, last))
+        short = length < horizon - 1e-9
         discards += int(short.sum())  # each path that met a cone
-        if attempt == MAX_ATTEMPTS - 1 or not short.any():
+        final = attempt == MAX_ATTEMPTS - 1 or not short.any()
+        if stretches:
+            rows, first, last = (np.concatenate(a) for a in zip(*stretches))
+            keep = first < nbins
+            if not final:  # a path that met a cone is drawn again and marks nothing
+                keep &= ~short[rows]
+            np.add.at(marks, first[keep], 1)
+            np.add.at(marks, np.minimum(last[keep], nbins - 1) + 1, -1)
+        if final:
             break  # the last attempt keeps its short paths
-        # a sample whose path met a cone is drawn again: take that path's visits
-        # back, tracing it once more from the same draw
         pending = [pending[i] for i in np.flatnonzero(short).tolist()]
-        visits(pending, attempt, -1)
     hits = np.cumsum(marks[:nbins]) > 0
     first_hit = None
     idx = np.flatnonzero(hits)
@@ -299,10 +292,10 @@ def cone_approach_experiment(s: ConeSurface, n_trajectories: int, length: float,
 
     Returns (rows, quantiles): rows are (trajectory id, final running min);
     a trajectory that hits a cone point scores zero.  Raises ValueError for
-    fewer than one trajectory or a negative length.
+    fewer than one trajectory or a length that is negative or not finite.
     """
-    if n_trajectories < 1 or length < 0:
-        raise ValueError("n_trajectories must be positive and length nonnegative")
+    if not (n_trajectories >= 1 and 0 <= length < math.inf):
+        raise ValueError("n_trajectories must be positive and length finite and nonnegative")
     rows = []
     for i in range(n_trajectories):
         rng = np.random.default_rng([seed, i])

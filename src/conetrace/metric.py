@@ -162,9 +162,9 @@ def _class_roots(s: ConeSurface, cid: int):
 
 
 def _check_on_surface(s: ConeSurface, *points: SurfacePoint):
-    """ValueError unless each point lies in its face, with the tolerance `trace` uses."""
+    """ValueError unless each point lies in its face (`ConeSurface.contains`)."""
     for p in points:
-        if not s.contains(p, tol=10 * s.eps_geom):
+        if not s.contains(p):
             raise ValueError(f"{p} is not on the surface")
 
 
@@ -466,8 +466,10 @@ def convergence_profile(
     is what makes asymptotic profiles non-increasing; the quotient distance is
     a minimum over all sheets and rebounds after a foreign sheet dips below
     the tracked one, so it cannot certify convergence.  Samples beyond 4x the
-    initial separation raise ExceedsRadius.
+    initial separation raise ExceedsRadius, and fewer than two samples ValueError.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     h = min(horizon, g1.length, g2.length)
     tol = 1e-4 * s.diam_hint
     sep = local_distance(

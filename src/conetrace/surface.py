@@ -183,10 +183,10 @@ class ConeSurface:
     def euler_characteristic(self) -> int:
         return len(self.cone_angles) - len(self.gluings) + len(self.faces)
 
-    def contains(self, p: SurfacePoint, tol: float | None = None) -> bool:
-        """True when p lies in its face; False when that face is not on the surface."""
+    def contains(self, p: SurfacePoint) -> bool:
+        """True when p lies in its face, within 10 * eps_geom; False when that face is not on the surface."""
         return 0 <= p.face < len(self.faces) and point_in_convex(
-            self.faces[p.face], p.x, p.y, self.eps_geom if tol is None else tol
+            self.faces[p.face], p.x, p.y, 10 * self.eps_geom
         )
 
     def step(self, gluing: int, forward: bool) -> tuple[int, int, Neighbour]:

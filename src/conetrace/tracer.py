@@ -11,7 +11,7 @@ caller uses it except the transitivity scans of `dynamics.hit_times`, which
 trace all their samples at once through the private `_trace_batch`.  That
 stepper repeats `trace`'s arithmetic operation for operation on numpy
 arrays, so each of its lanes is bit-equal to `trace`, which stays the
-reference it is tested against.
+reference it is tested against.  Both decide cone capture by `_cone_at`.
 """
 from __future__ import annotations
 
@@ -88,16 +88,33 @@ class GeodesicPath:
         return [e for e in self.events if isinstance(e, EdgeCross)]
 
 
+def _cone_at(s: ConeSurface, face: int, edge: int, qx: float, qy: float):
+    """(vclass, vertex) of the cone that captures a path leaving `face` through `edge` at (qx, qy), or None.
+
+    The first endpoint of the edge within `eps_vertex` of the exit point
+    decides: a conical endpoint captures the path, a regular one lets it cross.
+    """
+    ax, ay, _, _, bx, by = s.edge_rows[face][edge]
+    if math.hypot(qx - ax, qy - ay) <= s.eps_vertex:
+        vidx = edge
+    elif math.hypot(qx - bx, qy - by) <= s.eps_vertex:
+        vidx = (edge + 1) % len(s.faces[face])
+    else:
+        return None
+    cid = s.vertex_class[(face, vidx)]
+    return (cid, vidx) if s.is_conical(cid) else None
+
+
 def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
     """Trace the geodesic from `start` for the given arc length, or to the first cone hit.
 
-    Raises ValueError for a negative length or a start point that is not in
-    its face (a face that is not on the surface included).
+    A crossing captured by `_cone_at` ends the trace with a ConeHit.  Raises
+    ValueError for a length that is negative or not finite, or a start point
+    that is not in its face (a face that is not on the surface included).
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    eps_v = s.eps_vertex
-    if not s.contains(SurfacePoint(start.face, start.x, start.y), tol=10 * s.eps_geom):
+    if not 0 <= length < math.inf:
+        raise ValueError("length must be finite and nonnegative")
+    if not s.contains(SurfacePoint(start.face, start.x, start.y)):
         raise ValueError("start point is not inside its face")
 
     face = start.face
@@ -138,18 +155,9 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
         arc += best_t
         remaining -= best_t
 
-        # conical vertex capture at either endpoint of the exit edge
-        hit = None
-        ax, ay, _, _, bx, by = edges[best_e]
-        poly_n = len(s.faces[face])
-        for vx, vy, vidx in ((ax, ay, best_e), (bx, by, (best_e + 1) % poly_n)):
-            if math.hypot(qx - vx, qy - vy) <= eps_v:
-                cid = s.vertex_class[(face, vidx)]
-                if s.is_conical(cid):
-                    hit = ConeHit(cid, arc, face, vidx, d)
-                break
+        hit = _cone_at(s, face, best_e, qx, qy)
         if hit is not None:
-            events.append(hit)
+            events.append(ConeHit(hit[0], arc, face, hit[1], d))
             px, py = qx, qy
             break
 
@@ -203,21 +211,22 @@ def _trace_batch(s: ConeSurface, states, length: float):
     solve against its face's edge rows, then moves the lanes that cross into
     the next chart.  A lane stops at the end of its length or at a cone hit,
     and the batch ends when every lane has stopped; lanes keep their rows, so
-    arrays keep their size.  Lane i is `trace(s, states[i], length)`
-    operation for operation, with the same errors: its segments are that
-    trace's segments bit for bit, and a hit is its ConeHit.  The per-face
-    tables are built in each call.
+    arrays keep their size.  A lane whose exit point lies near an end of its
+    exit edge is handed to `_cone_at`.  Lane i is `trace(s, states[i],
+    length)` operation for operation, with the same errors: its segments are
+    that trace's segments bit for bit, and a hit is its ConeHit.  The
+    per-face tables are built in each call.
     """
     # imported here so that importing the package loads numpy no earlier than
     # `dynamics` does: loading it first raised the import's peak memory ~2 MB
     import numpy as np
 
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    if not 0 <= length < math.inf:
+        raise ValueError("length must be finite and nonnegative")
     # one pass, so that `states` may be an iterator that builds each state on demand
     starts = []
     for st in states:
-        if not s.contains(SurfacePoint(st.face, st.x, st.y), tol=10 * s.eps_geom):
+        if not s.contains(SurfacePoint(st.face, st.x, st.y)):
             raise ValueError("start point is not inside its face")
         starts.append((st.face, st.x, st.y, norm_angle(st.direction)))
     # edge rows and chart steps of every face, padded to the largest face; a
@@ -246,7 +255,7 @@ def _trace_batch(s: ConeSurface, states, length: float):
     first_edge = np.arange(n) * width  # offset of row i in the flattened (n, width) solve
     crossed = 0  # crossings so far, the same for every running lane
     guard = -100.0 * s.eps_geom
-    eps_v = s.eps_vertex
+    box = 2.0 * s.eps_vertex
 
     while run.any():
         # t = ((ax - px) nx + (ay - py) ny) / (dx nx + dy ny) per lane and edge,
@@ -276,27 +285,18 @@ def _trace_batch(s: ConeSurface, states, length: float):
         cone = np.full(n, -1, dtype=np.int64)
         vertex = np.full(n, -1, dtype=np.int64)
 
-        # conical vertex capture at either endpoint of the exit edge: a box of
-        # twice the capture radius picks the candidates, math.hypot decides
+        # cone capture: a box of twice the capture radius about either end of
+        # the exit edge picks the lanes that `_cone_at` decides
         k = face * width + e
         va_x, va_y, vb_x, vb_y = corners.take(k, 1)
-        box = 2.0 * eps_v
         near = run & ~ends & (
             ((np.abs(qx - va_x) <= box) & (np.abs(qy - va_y) <= box))
             | ((np.abs(qx - vb_x) <= box) & (np.abs(qy - vb_y) <= box))
         )
         for i in np.flatnonzero(near).tolist():
-            f, ei, x, y = int(face[i]), int(e[i]), float(qx[i]), float(qy[i])
-            for vx, vy, vidx in (
-                (float(va_x[i]), float(va_y[i]), ei),
-                (float(vb_x[i]), float(vb_y[i]), (ei + 1) % len(s.faces[f])),
-            ):
-                if math.hypot(x - vx, y - vy) <= eps_v:
-                    cid = s.vertex_class[(f, vidx)]
-                    if s.is_conical(cid):
-                        cone[i] = cid
-                        vertex[i] = vidx
-                    break
+            hit = _cone_at(s, int(face[i]), int(e[i]), float(qx[i]), float(qy[i]))
+            if hit is not None:
+                cone[i], vertex[i] = hit
 
         go = run & ~ends & (cone < 0)
         if crossed >= MAX_EVENTS and go.any():

@@ -152,11 +152,26 @@ CELLS = ["--horizon", "10", "--cell-o", "0,4,8,10", "--cell-u", "0,11,8,10"]
     ["mix", *CELLS, "--dt", "0"],
     ["transit", *CELLS, "--dt", "0"],
     ["cone-approach", "--trajectories", "0", "--length", "5"],
+    ["trace", "--start", "0,0", "--len", "inf"],
+    ["develop", "--start", "0,0", "--len", "nan"],
+    ["cone-approach", "--trajectories", "2", "--length", "nan"],
+    ["cone-approach", "--trajectories", "2", "--length", "inf"],
+    ["transit", *CELLS, "--horizon", "inf"],
+    ["transit", *CELLS, "--dt", "inf"],
+    ["converge", "--start1", "0,-0.025", "--start2", "0,0.025", "--horizon", "5", "--samples", "1"],
+    ["converge", "--start1", "0,-0.025", "--start2", "0,0.025", "--horizon", "5", "--samples", "0"],
+    ["unique-search", "--max-word-len", "1"],
+    ["busemann", "--ray-start", "0,0", "--horizon", "10", "--x", "0,0,0", "--x-prime", "0,0,0.1",
+     "--schedule", "5,2"],
 ], ids=["cell-face", "cell-idir-high", "cell-idir-negative", "cell-u-ix", "mix-samples",
-        "transit-samples", "mix-dt", "transit-dt", "cone-approach-trajectories"])
+        "transit-samples", "mix-dt", "transit-dt", "cone-approach-trajectories",
+        "trace-len-inf", "develop-len-nan", "cone-approach-length-nan",
+        "cone-approach-length-inf", "transit-horizon-inf", "transit-dt-inf",
+        "converge-samples-1", "converge-samples-0", "unique-search-word-len", "busemann-schedule"])
 def test_bad_experiment_args(capsys, tmp_path, argv):
-    # the octagon has one face and a 16x16x64 grid of cells; the later --cell-o
-    # or --cell-u replaces the one in CELLS
+    # the octagon has one face and a 16x16x64 grid of cells; the later --cell-o,
+    # --cell-u or --horizon replaces the one in CELLS.  Lengths, horizons and dts
+    # must be finite, and sample counts and word lengths large enough to use
     assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -66,6 +66,10 @@ def test_cyclic_reduce_cancels(octagon):
 def test_null_homotopic_rejected(octagon):
     with pytest.raises(NullHomotopicError):
         shorten(octagon, Loop([Crossing(0, True, 0.5), Crossing(0, False, 0.5)]))
+    # a commutator: cyclically reduced, but its holonomy is the identity
+    with pytest.raises(NullHomotopicError, match="holonomy is the identity"):
+        shorten(octagon, Loop([Crossing(0, True), Crossing(1, True), Crossing(0, False),
+                               Crossing(1, False)]))
 
 
 def test_mid_loop_not_unique(octagon):

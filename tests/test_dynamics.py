@@ -74,6 +74,9 @@ def test_hit_times_validates_args(octagon):
         hit_times(octagon, o, u, 100.0, 2.0, 0)
     with pytest.raises(ValueError):
         hit_times(octagon, o, u, 100.0, 0.0, 20)
+    for horizon, dt in ((math.inf, 2.0), (math.nan, 2.0), (100.0, math.inf), (100.0, math.nan)):
+        with pytest.raises(ValueError):
+            hit_times(octagon, o, u, horizon, dt, 20)
     # a face not on the surface, and indices off the NX x NY x NDIR grid
     for bad in (PhaseCell(1, 4, 8, 10), PhaseCell(-1, 4, 8, 10), PhaseCell(0, 16, 8, 10),
                 PhaseCell(0, 4, -1, 10), PhaseCell(0, 4, 8, 64), PhaseCell(0, 4, 8, -1)):
@@ -81,8 +84,9 @@ def test_hit_times_validates_args(octagon):
             hit_times(octagon, bad, u, 100.0, 2.0, 20)
         with pytest.raises(ValueError):
             hit_times(octagon, o, bad, 100.0, 2.0, 20)
-    with pytest.raises(ValueError):
-        cone_approach_experiment(octagon, 0, 10.0)
+    for n, length in ((0, 10.0), (1, math.inf), (1, math.nan)):
+        with pytest.raises(ValueError):
+            cone_approach_experiment(octagon, n, length)
 
 
 def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
@@ -121,6 +125,18 @@ def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
                         ok[0] * dt if ok.size else None, n_samples, discards)
 
 
+def _attempts(s, cell_o, horizon, n_samples, seed):
+    """Attempts hit_times makes: the most draws any sample takes to miss every cone."""
+    most = 1
+    for i in range(n_samples):
+        for attempt in range(dynamics.MAX_ATTEMPTS):
+            st = sample_cell(s, cell_o, np.random.default_rng([seed, i, attempt]))
+            if trace(s, st, horizon).length >= horizon - 1e-9:
+                break
+        most = max(most, attempt + 1)
+    return most
+
+
 @pytest.mark.parametrize("max_attempts", [1, 2, 64])
 def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
     # a capture radius of 0.05 makes most samples meet a cone, so re-draws,
@@ -128,9 +144,15 @@ def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
     s = builtin("octagon6pi")
     s.eps_vertex = 0.05
     monkeypatch.setattr(dynamics, "MAX_ATTEMPTS", max_attempts)
+    # one batch per attempt: a path that met a cone is never traced again
+    batches = []
+    batch = dynamics._trace_batch
+    monkeypatch.setattr(dynamics, "_trace_batch", lambda *a: batches.append(1) or batch(*a))
     o = PhaseCell(0, 4, 8, 10)
     for u in (PhaseCell(0, 11, 8, 10), o):
+        batches.clear()
         got = hit_times(s, o, u, 30.0, 0.5, 100, seed=7)
+        assert len(batches) == _attempts(s, o, 30.0, 100, 7)
         want = _scalar_hit_times(s, o, u, 30.0, 0.5, 100, 7)
         assert want.cone_discards > 0 and want.hit_bins.any()
         for field in dataclasses.fields(MixingReport):

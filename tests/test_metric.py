@@ -420,6 +420,9 @@ def test_profile_flat_strip_constant(octagon):
     prof = convergence_profile(octagon, g1, g2, 35.0)
     for _, d in prof:
         assert d == pytest.approx(0.05, abs=1e-9)
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            convergence_profile(octagon, g1, g2, 35.0, n_samples=n)
 
 
 def test_profile_converging_pair(octagon):

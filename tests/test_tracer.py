@@ -58,6 +58,15 @@ def test_cone_hit_at_circumradius(octagon):
     assert abs(p.length - 1.0) < 1e-12  # a cone hit ends the trace
 
 
+def test_length_not_finite(octagon):
+    start = TangentState(0, 0.0, 0.0, 0.37)
+    for length in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            trace(octagon, start, length)
+        with pytest.raises(ValueError):
+            list(tracer._trace_batch(octagon, [start], length))
+
+
 def test_event_budget(octagon, monkeypatch):
     monkeypatch.setattr(tracer, "MAX_EVENTS", 5)
     with pytest.raises(EventBudgetExceededError):
