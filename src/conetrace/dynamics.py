@@ -16,6 +16,7 @@ experiments trace with `trace`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +77,25 @@ def cell_region(s: ConeSurface, cell: PhaseCell):
     return clip_convex(s.faces[cell.face], box)
 
 
+def _cdf(weights) -> list[float]:
+    """Cumulative shares of the weights as `Generator.choice(p=shares)` builds them:
+    `bisect_right(cdf, rng.random())` picks as choice does, without its checks of p."""
+    shares = np.array(weights, dtype=float)
+    cdf = (shares / shares.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def _fan(poly):
-    """Fan triangles of a convex polygon and their shares of its area."""
+    """Fan triangles of a convex polygon and the `_cdf` of their areas."""
     tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
-    areas = np.array([abs(signed_area(list(t))) for t in tris])
-    return tris, areas / areas.sum()
+    return tris, _cdf([abs(signed_area(list(t))) for t in tris])
 
 
 def _uniform_point(fan, rng) -> tuple[float, float]:
     """Uniform point of a convex polygon given by its `_fan`: a triangle by area, then two uniforms."""
-    tris, shares = fan
-    k = int(rng.choice(len(tris), p=shares))
+    tris, cdf = fan
+    k = bisect_right(cdf, rng.random())
     a, b, c = tris[k]
     u, v = rng.random(), rng.random()
     if u + v > 1.0:
@@ -281,8 +290,7 @@ def transitivity_scan(
 
 def random_state(s: ConeSurface, rng) -> TangentState:
     """Uniform random unit tangent vector (area-weighted face, uniform direction)."""
-    areas = np.array([signed_area(f) for f in s.faces])
-    face = int(rng.choice(len(s.faces), p=areas / areas.sum()))
+    face = bisect_right(_cdf([signed_area(f) for f in s.faces]), rng.random())
     x, y = _uniform_point(_fan(s.faces[face]), rng)
     return TangentState(face, x, y, rng.random() * TWO_PI)
 

@@ -36,7 +36,7 @@ from .geom import (
     window_intersect,
 )
 from .surface import ConeSurface, SurfacePoint
-from .tracer import GeodesicPath, TangentState
+from .tracer import ConeHit, GeodesicPath, TangentState
 
 MAX_DEPTH = 64
 NODE_BUDGET = 1_000_000
@@ -258,8 +258,9 @@ def shortest_saddle_connection(s: ConeSurface) -> float:
 # ---------------------------------------------------------------------------
 # developed lifts
 
-def _check_cone_free(ray: GeodesicPath, t: float):
-    for hit in ray.cone_hits:
+def _check_cone_free(hits: list[ConeHit], t: float):
+    """Raise ConeOnRayError if one of a path's cone `hits` lies at arc length t or before."""
+    for hit in hits:
         if hit.arc_length <= t + 1e-12:
             raise ConeOnRayError(f"ray hits a cone point at arc length {hit.arc_length}")
 
@@ -328,10 +329,11 @@ def busemann(
     place_xp = place_x.compose(lift_point(s, x, x_prime, 16.0 * s.diam_hint)[1])
     lx = place_x.apply(x.x, x.y)
     lxp = place_xp.apply(x_prime.x, x_prime.y)
+    hits = ray.cone_hits
     history = []
     converged = False
     for t in schedule:
-        _check_cone_free(ray, t)
+        _check_cone_free(hits, t)
         qx, qy = bx + t * ex, by + t * ey
         d = math.hypot(lx[0] - qx, lx[1] - qy)
         dp = math.hypot(lxp[0] - qx, lxp[1] - qy)
@@ -405,8 +407,8 @@ def equidistant_reparam(s: ConeSurface, g1: GeodesicPath, g2: GeodesicPath) -> f
     """
     tol = 1e-4 * s.diam_hint
     t_ref = min(128.0 * s.diam_hint, g1.length)
-    _check_cone_free(g1, t_ref)
-    _check_cone_free(g2, min(t_ref, g2.length))
+    _check_cone_free(g1.cone_hits, t_ref)
+    _check_cone_free(g2.cone_hits, min(t_ref, g2.length))
     sep = local_distance(
         s,
         SurfacePoint(g1.start.face, g1.start.x, g1.start.y),

@@ -6,17 +6,20 @@ radius) always ends a trace, with a ConeHit as its last event; cone_scatter
 continues from the hit, and the continuation must keep both side angles at
 least pi.
 
-`trace` follows one geodesic and builds its segments and events; every
-caller uses it except the transitivity scans of `dynamics.hit_times`, which
-trace all their samples at once through the private `_trace_batch`.  That
-stepper repeats `trace`'s arithmetic operation for operation on numpy
-arrays, so each of its lanes is bit-equal to `trace`, which stays the
-reference it is tested against.  Both decide cone capture by `_cone_at`.
+`trace` follows one geodesic and builds its segments and events as
+NamedTuples.  It solves exit times only for the edges its ray faces, listed
+again when the face or the direction changes.  Every caller uses it except
+the transitivity scans of `dynamics.hit_times`, which trace all their
+samples at once through the private `_trace_batch`.  That stepper repeats
+`trace`'s arithmetic operation for operation on numpy arrays, so each of
+its lanes is bit-equal to `trace`, which stays the reference it is tested
+against.  Both hand an exit point to `_cone_at` only when it lies in the
+box of twice the capture radius about an end of its exit edge.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -45,8 +48,7 @@ class TangentState:
     direction: float
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     face: int
     entry: tuple[float, float]
     exit: tuple[float, float]
@@ -54,16 +56,14 @@ class Segment:
     direction: float
 
 
-@dataclass(frozen=True)
-class EdgeCross:
+class EdgeCross(NamedTuple):
     gluing: int
     forward: bool
     placement: PlaneIsometry  # entered chart -> leaving chart
     arc_length: float
 
 
-@dataclass(frozen=True)
-class ConeHit:
+class ConeHit(NamedTuple):
     vclass: int
     arc_length: float
     face: int
@@ -127,15 +127,17 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
     arc = 0.0
     remaining = length
     guard = -100.0 * s.eps_geom
+    box = 2.0 * s.eps_vertex
+    facing = None
 
     while True:
-        edges = s.edge_rows[face]
+        if facing is None:  # (edge, ax, ay, nx, ny, denom) of each edge the ray faces
+            facing = [(e, ax, ay, nx, ny, denom)
+                      for e, (ax, ay, nx, ny, _, _) in enumerate(s.edge_rows[face])
+                      if (denom := dx * nx + dy * ny) > 1e-300]
         best_t = math.inf
         best_e = -1
-        for e, (ax, ay, nx, ny, bx, by) in enumerate(edges):
-            denom = dx * nx + dy * ny
-            if denom <= 1e-300:
-                continue
+        for e, ax, ay, nx, ny, denom in facing:
             t = ((ax - px) * nx + (ay - py) * ny) / denom
             if guard < t < best_t:
                 best_t = t
@@ -155,11 +157,15 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
         arc += best_t
         remaining -= best_t
 
-        hit = _cone_at(s, face, best_e, qx, qy)
-        if hit is not None:
-            events.append(ConeHit(hit[0], arc, face, hit[1], d))
-            px, py = qx, qy
-            break
+        ax, ay, _, _, bx, by = s.edge_rows[face][best_e]
+        if (abs(qx - ax) <= box and abs(qy - ay) <= box) or (
+            abs(qx - bx) <= box and abs(qy - by) <= box
+        ):
+            hit = _cone_at(s, face, best_e, qx, qy)
+            if hit is not None:
+                events.append(ConeHit(hit[0], arc, face, hit[1], d))
+                px, py = qx, qy
+                break
 
         if len(events) >= MAX_EVENTS:
             raise EventBudgetExceededError(f"more than {MAX_EVENTS} events")
@@ -168,9 +174,15 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
         trans = nb.transition
         events.append(EdgeCross(nb.gluing, nb.forward, nb.placement, arc))
         px, py = trans.apply(qx, qy)
-        d = trans.apply_dir(d)
-        dx, dy = math.cos(d), math.sin(d)
-        face = nb.face
+        # a translation keeps a direction in (0, 2*pi) bit for bit; -0.0 and
+        # 2*pi (which norm_angle can return) turn to 0.0 as apply_dir does
+        if trans.rot != 0.0 or not 0.0 < d < TWO_PI:
+            d = trans.apply_dir(d)
+            dx, dy = math.cos(d), math.sin(d)
+            facing = None
+        if nb.face != face:
+            face = nb.face
+            facing = None
 
     end = TangentState(face, px, py, d)
     return GeodesicPath(start, end, segments, events, arc)
@@ -366,14 +378,14 @@ def time_shift(path: GeodesicPath, t: float) -> GeodesicPath:
                 seg.entry[0] + u * math.cos(seg.direction),
                 seg.entry[1] + u * math.sin(seg.direction),
             )
-            segments.append(replace(seg, entry=entry, length=seg.length - u))
+            segments.append(seg._replace(entry=entry, length=seg.length - u))
         else:
             segments.append(seg)
         acc += seg.length
     events = []
     for ev in path.events:
         if ev.arc_length >= t - 1e-15:
-            events.append(replace(ev, arc_length=ev.arc_length - t))
+            events.append(ev._replace(arc_length=ev.arc_length - t))
     return GeodesicPath(new_start, path.end, segments, events, path.length - t)
 
 
@@ -391,7 +403,7 @@ def reverse(path: GeodesicPath) -> GeodesicPath:
                 EdgeCross(ev.gluing, not ev.forward, ev.placement.inverse(), L - ev.arc_length)
             )
         else:
-            events.append(replace(ev, arc_length=L - ev.arc_length))
+            events.append(ev._replace(arc_length=L - ev.arc_length))
     start = TangentState(path.end.face, path.end.x, path.end.y, norm_angle(path.end.direction + math.pi))
     end = TangentState(path.start.face, path.start.x, path.start.y, norm_angle(path.start.direction + math.pi))
     return GeodesicPath(start, end, segments, events, L)

@@ -1,4 +1,5 @@
 """Phase cells, transitivity scans, cone-approach statistics."""
+import bisect
 import dataclasses
 import math
 
@@ -56,6 +57,33 @@ def test_sample_empty_cell_raises(octagon):
     # sector 70 is off the grid: its direction interval lies beyond 2*pi
     with pytest.raises(ValueError):
         sample_cell(octagon, PhaseCell(0, 4, 8, 70), np.random.default_rng(0))
+
+
+def test_uniform_point_picks_as_choice():
+    # the fan's table picks the triangle that Generator.choice(p=shares) picks
+    # and draws the same number, so a second generator of the same seed agrees
+    tris, cdf = dynamics._fan(builtin("decagon4pi4pi").faces[0])
+    areas = np.array([abs(signed_area(list(t))) for t in tris])
+    picked = set()
+    for seed in range(400):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, y = dynamics._uniform_point((tris, cdf), a)
+        k = int(b.choice(len(tris), p=areas / areas.sum()))
+        (px, py), (qx, qy), (rx, ry) = tris[k]
+        u, v = b.random(), b.random()
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        assert (x, y) == (px + u * (qx - px) + v * (rx - px), py + u * (qy - py) + v * (ry - py))
+        assert a.random() == b.random()
+        picked.add(k)
+    assert picked == set(range(len(tris)))
+    # random_state's face pick: weights of unequal size, one of them zero
+    weights = np.array([3.0, 0.0, 1e-3, 7.5, 0.25])
+    for seed in range(400):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = int(b.choice(len(weights), p=weights / weights.sum()))
+        assert bisect.bisect_right(dynamics._cdf(weights), a.random()) == want
+        assert a.random() == b.random()
 
 
 def test_hit_times_deterministic(octagon):

@@ -93,13 +93,16 @@ def _octagon_cut():
 
 
 def _batch_starts(s, seed):
-    """200 seeded random states, starts aimed at and leaving every corner, and starts
-    a hair outside every edge heading out (an exit at t <= 0: trace's guard and clamp)."""
+    """200 seeded random states, starts aimed at and leaving every corner, starts
+    a hair outside every edge heading out (an exit at t <= 0: trace's guard and clamp),
+    and horizontal starts of direction 0.0 and -0.0 from inside every face (the sign
+    bit, and chart steps to a direction of exactly 2*pi that a translation must reset)."""
     rng = np.random.default_rng(seed)
     starts = [random_state(s, rng) for _ in range(200)]
     for f, poly in enumerate(s.faces):
         cx = sum(p[0] for p in poly) / len(poly)
         cy = sum(p[1] for p in poly) / len(poly)
+        starts += [TangentState(f, cx, cy, 0.0), TangentState(f, cx, cy, -0.0)]
         for vx, vy in poly:
             starts.append(TangentState(f, cx, cy, math.atan2(vy - cy, vx - cx)))
             starts.append(TangentState(f, vx, vy, math.atan2(cy - vy, cx - vx)))
