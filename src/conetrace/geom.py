@@ -11,8 +11,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def norm_angle(a: float) -> float:
-    """Reduce an angle modulo 2*pi into [0, 2*pi): but a remainder of -0.0 (from -0.0
-    or -2*pi) stays -0.0, and one in [-4.4e-16, 0) (half an ulp of 2*pi) gives 2*pi."""
+    """Reduce an angle modulo 2*pi.  The result lies in [0, 2*pi), except that a remainder
+    of -0.0 (from -0.0 or -2*pi) stays -0.0 and one in [-4.4e-16, 0) rounds up to 2*pi."""
     a = math.fmod(a, TWO_PI)
     return a + TWO_PI if a < 0.0 else a
 
