@@ -7,6 +7,10 @@ axis leaves the corridor the offending crossing snaps to a conical vertex,
 splitting the loop into geodesic arcs between cone anchors.  Anchors whose
 side angles drop below pi are released again through the deficient wedge.
 Stationarity (all side angles >= pi, straight arcs) is the exit condition.
+An iteration reads only the cyclic word, or each arc's word and end corners,
+so a state that recurs cycles for ever: the shortener raises NoConvergenceError
+at the first repeat.  Snaps only add anchors, so every cycle passes a state that
+the removal of an anchor left, and only those states are recorded.
 """
 from __future__ import annotations
 
@@ -412,6 +416,7 @@ class _Shortener:
 
     def run(self, max_iters: int):
         s = self.s
+        seen = {}  # state left by a step that removed an anchor -> that step's iteration
         for it in range(max_iters):
             if not self.arcs:
                 self.word = cyclic_reduce(s, self.word)
@@ -431,28 +436,28 @@ class _Shortener:
                 v = self._tighten_arc(arc)
                 if v is not None and violation is None:
                     violation = v
-            if self._merge_degenerate_anchors():
-                continue
-            if violation is not None:
-                _, arc, k, which = violation
-                corner_in, _ = _endpoint_corners(s, arc.word[k])[which]
-                if not s.is_conical(s.vertex_class[corner_in]):
-                    raise NoConvergenceError(it)
-                self._snap_arc(arc, k, which)
-                continue
-            # all arcs straight; check anchor angles
-            deficient = None
-            for i in range(len(self.arcs)):
-                gl, gr = self._anchor_angles(i)
-                if gl < math.pi - EPS_ANGLE:
-                    deficient = (i, True)
-                    break
-                if gr < math.pi - EPS_ANGLE:
-                    deficient = (i, False)
-                    break
-            if deficient is None:
-                return
-            self._unsnap(*deficient)
+            if not self._merge_degenerate_anchors():
+                if violation is not None:
+                    _, arc, k, which = violation
+                    corner_in, _ = _endpoint_corners(s, arc.word[k])[which]
+                    if not s.is_conical(s.vertex_class[corner_in]):
+                        raise NoConvergenceError(it)
+                    self._snap_arc(arc, k, which)
+                    continue
+                # all arcs straight: release the first deficient anchor, or stop
+                for i in range(len(self.arcs)):
+                    gl, gr = self._anchor_angles(i)
+                    if min(gl, gr) < math.pi - EPS_ANGLE:
+                        self._unsnap(i, gl < math.pi - EPS_ANGLE)
+                        break
+                else:
+                    return
+            # an anchor was removed; with no arcs left the state is the cyclic word
+            state = tuple((tuple((c.gluing, c.forward) for c in a.word), a.start_corner, a.end_corner)
+                          for a in self.arcs) or tuple((c.gluing, c.forward) for c in self.word)
+            first = seen.setdefault(state, it)
+            if first != it:
+                raise NoConvergenceError(it + 1, it - first)
         raise NoConvergenceError(max_iters)
 
 
@@ -481,7 +486,9 @@ def shorten(
 
     The shortener's first step reduces the word cyclically and fits the
     holonomy's axis; a word that reduces to nothing, or whose holonomy is the
-    identity, raises NullHomotopicError there.
+    identity, raises NullHomotopicError there.  NoConvergenceError is raised at
+    the first repeated state (see the module docstring), so max_iters bounds
+    only a run that neither converges nor repeats a state.
     """
     word = list(loop.crossings)
     validate_word(s, word)

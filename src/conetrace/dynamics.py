@@ -288,11 +288,20 @@ def transitivity_scan(
     return TransitivityResult(times, success, reason, report)
 
 
+def _state_sampler(s: ConeSurface):
+    """Draw function of `random_state`, with the face table and the faces' fans computed once."""
+    cdf, fans = _cdf([signed_area(f) for f in s.faces]), [_fan(f) for f in s.faces]
+
+    def draw(rng) -> TangentState:
+        face = bisect_right(cdf, rng.random())
+        return TangentState(face, *_uniform_point(fans[face], rng), rng.random() * TWO_PI)
+
+    return draw
+
+
 def random_state(s: ConeSurface, rng) -> TangentState:
     """Uniform random unit tangent vector (area-weighted face, uniform direction)."""
-    face = bisect_right(_cdf([signed_area(f) for f in s.faces]), rng.random())
-    x, y = _uniform_point(_fan(s.faces[face]), rng)
-    return TangentState(face, x, y, rng.random() * TWO_PI)
+    return _state_sampler(s)(rng)
 
 
 def cone_approach_experiment(s: ConeSurface, n_trajectories: int, length: float, seed: int = 0):
@@ -305,10 +314,9 @@ def cone_approach_experiment(s: ConeSurface, n_trajectories: int, length: float,
     if not (n_trajectories >= 1 and 0 <= length < math.inf):
         raise ValueError("n_trajectories must be positive and length finite and nonnegative")
     rows = []
+    draw = _state_sampler(s)
     for i in range(n_trajectories):
-        rng = np.random.default_rng([seed, i])
-        st = random_state(s, rng)
-        path = trace(s, st, length)
+        path = trace(s, draw(np.random.default_rng([seed, i])), length)
         if length > 0 and path.length < length - 1e-9:
             rows.append((i, 0.0))
             continue

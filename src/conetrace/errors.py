@@ -93,9 +93,12 @@ class NullHomotopicError(ConetraceError):
 
 
 class NoConvergenceError(ConetraceError):
-    def __init__(self, iterations: int):
-        super().__init__(f"curve shortening did not converge in {iterations} iterations")
+    def __init__(self, iterations: int, period: int | None = None):
+        super().__init__(f"curve shortening did not converge in {iterations} iterations" if period is None
+                         else f"curve shortening repeated the state of iteration {iterations - period}"
+                         f" at iteration {iterations}, period {period}")
         self.iterations = iterations
+        self.period = period
 
 
 class NotConeFreeError(ConetraceError):

@@ -1,4 +1,5 @@
 """Closed geodesics: shortening, uniqueness certificates, flat cylinders."""
+import hashlib
 import math
 import random
 
@@ -129,13 +130,10 @@ def test_verify_stationarity(octagon, decagon):
         assert verify_stationarity(s, g)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_shorten_results_verify(name):
-    # random closing words; every result must pass the independent check and,
-    # on these translation surfaces, be no shorter than the class holonomy
-    s = builtin(name)
-    rng = random.Random(20)
-    for _ in range(150):
+def _closing_words(s, seed: int, n: int):
+    """n random closing words, each at least a random 2 to 8 crossings long, with random params."""
+    rng = random.Random(seed)
+    for _ in range(n):
         length = rng.randint(2, 8)
         face = start = rng.randrange(len(s.faces))
         word = []
@@ -143,6 +141,15 @@ def test_shorten_results_verify(name):
             nb = s.neighbours[face][rng.randrange(len(s.faces[face]))]
             word.append(Crossing(nb.gluing, nb.forward, rng.uniform(0.05, 0.95)))
             face = nb.face
+        yield word
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shorten_results_verify(name):
+    # random closing words; every result must pass the independent check and,
+    # on these translation surfaces, be no shorter than the class holonomy
+    s = builtin(name)
+    for word in _closing_words(s, 20, 150):
         try:
             g = shorten(s, Loop(word), max_iters=1000)
         except (NullHomotopicError, NoConvergenceError):
@@ -150,6 +157,47 @@ def test_shorten_results_verify(name):
         assert verify_stationarity(s, g), word
         h = word_holonomy(s, [(c.gluing, c.forward) for c in word])
         assert g.period >= math.hypot(h.tx, h.ty) - 1e-9, word
+
+
+def _letters(text):
+    return [Crossing(int(tok[:-1]), tok[-1] == "+", 0.5) for tok in text.split()]
+
+
+@pytest.mark.parametrize("name,word", [
+    ("octagon6pi", "1- 0+ 0+ 3+ 2- 1+ 1-"),
+    ("decagon4pi4pi", "4- 3+ 3+ 1+ 1+ 0- 3+ 3-"),
+])
+def test_shorten_stops_at_repeated_state(name, word):
+    # these words cycle; at the default cap each used to run 100000 iterations
+    with pytest.raises(NoConvergenceError, match="repeated the state") as info:
+        shorten(builtin(name), Loop(_letters(word)))
+    assert info.value.iterations <= 40
+    assert 0 < info.value.period < info.value.iterations
+
+
+# sha256 of repr([(kind, repr(period)), ...]) over 1000 closing words, recorded
+# while the shortener still ran every word that did not converge to max_iters;
+# each builtin's sweep holds two such words
+PINNED_OUTCOMES = {
+    "octagon6pi": "8be6b9f779e0d7b0a5ee4d984d317b04d25cfd60b76ddb1eec68d0882915be78",
+    "decagon4pi4pi": "efbc4989c19699dc6cf1af4a9b52e0220b1d0e9d20f82decbbbda00459b3d480",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shorten_outcomes_pinned(name):
+    # the repeated-state stop must not fire on a word that converges
+    s = builtin(name)
+    out = []
+    for word in _closing_words(s, 21, 1000):
+        try:
+            g = shorten(s, Loop(word), max_iters=1000)
+            out.append(("anchored" if g.through_cones else "cyclic", repr(g.period)))
+        except NullHomotopicError:
+            out.append(("null", None))
+        except NoConvergenceError:
+            out.append(("noconv", None))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == PINNED_OUTCOMES[name]
 
 
 def test_certificate_text(octagon):
