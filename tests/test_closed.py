@@ -173,6 +173,10 @@ def test_shorten_stops_at_repeated_state(name, word):
         shorten(builtin(name), Loop(_letters(word)))
     assert info.value.iterations <= 40
     assert 0 < info.value.period < info.value.iterations
+    # a cap reached before the first repeat still ends the run
+    with pytest.raises(NoConvergenceError, match="did not converge in 5 iterations") as info:
+        shorten(builtin(name), Loop(_letters(word)), max_iters=5)
+    assert info.value.period is None
 
 
 # sha256 of repr([(kind, repr(period)), ...]) over 1000 closing words, recorded
