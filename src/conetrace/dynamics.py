@@ -4,7 +4,8 @@ Cells are axis-aligned position bins of a face's bounding box crossed with
 direction sectors; membership is exact per trace segment, so hit times are
 computed without sampling the flow in time.  All randomness is drawn from
 per-sample seeded generators, making every report reproducible regardless of
-scheduling.
+scheduling: sample i of a scan is the state that `sample_cell` draws from
+`default_rng([seed, i, attempt])`, computed for all samples at once as arrays.
 
 `hit_times`, and so `transitivity_scan`, traces all samples of a scan at once
 with the batched stepper `tracer._trace_batch` and clips its segments against
@@ -15,14 +16,15 @@ experiments trace with `trace`.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCellError
-from .geom import TWO_PI, clip_convex, norm_angle, signed_area
+from .geom import TWO_PI, clip_convex, signed_area
 from .surface import ConeSurface
 from .tracer import TangentState, _trace_batch, min_cone_distance_profile, trace
 
@@ -77,59 +79,119 @@ def cell_region(s: ConeSurface, cell: PhaseCell):
     return clip_convex(s.faces[cell.face], box)
 
 
-def _cdf(weights) -> list[float]:
+def _cdf(weights) -> np.ndarray:
     """Cumulative shares of the weights as `Generator.choice(p=shares)` builds them:
-    `bisect_right(cdf, rng.random())` picks as choice does, without its checks of p."""
+    `searchsorted(cdf, u, side="right")` picks as choice does, without its checks of p."""
     shares = np.array(weights, dtype=float)
     cdf = (shares / shares.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return cdf
 
 
 def _fan(poly):
-    """Fan triangles of a convex polygon and the `_cdf` of their areas."""
+    """`_cdf` of the areas of a convex polygon's fan triangles (a, b, c), and their
+    (ax, ay, bx - ax, by - ay, cx - ax, cy - ay) as a (6, triangles) array."""
     tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
-    return tris, _cdf([abs(signed_area(list(t))) for t in tris])
+    rows = [(a[0], a[1], b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]) for a, b, c in tris]
+    return _cdf([abs(signed_area(list(t))) for t in tris]), np.array(rows).T
 
 
-def _uniform_point(fan, rng) -> tuple[float, float]:
-    """Uniform point of a convex polygon given by its `_fan`: a triangle by area, then two uniforms."""
-    tris, cdf = fan
-    k = bisect_right(cdf, rng.random())
-    a, b, c = tris[k]
-    u, v = rng.random(), rng.random()
-    if u + v > 1.0:
-        u, v = 1.0 - u, 1.0 - v
-    x = a[0] + u * (b[0] - a[0]) + v * (c[0] - a[0])
-    y = a[1] + u * (b[1] - a[1]) + v * (c[1] - a[1])
-    return x, y
-
-
-def _cell_sampler(s: ConeSurface, cell: PhaseCell):
-    """Draw function of `sample_cell` for one cell, with its region and fan computed once."""
+def _cell_fan(s: ConeSurface, cell: PhaseCell):
+    """`_fan` of the cell's region; EmptyCellError for a cell that does not meet its face."""
     region = cell_region(s, cell)
     if len(region) < 3 or abs(signed_area(region)) < 1e-15:
         raise EmptyCellError(f"cell {cell} does not meet face {cell.face}")
-    fan = _fan(region)
-    d0, d1 = cell.dir_interval()
+    return _fan(region)
 
-    def draw(rng) -> TangentState:
-        x, y = _uniform_point(fan, rng)
-        direction = d0 + rng.random() * (d1 - d0)
-        return TangentState(cell.face, x, y, norm_angle(direction))
 
-    return draw
+def _states(fans, face, u, d0: float, d1: float):
+    """(face, x, y, direction) arrays of the states that the rows (u0, u1, u2, u3)
+    of u draw: a triangle of `fans[face]` by area with u0, a uniform point of it
+    with u1 and u2, and d0 + u3 (d1 - d0) reduced as `norm_angle` does."""
+    x, y = np.empty(len(u)), np.empty(len(u))
+    for f, (cdf, tris) in fans.items():
+        rows = np.flatnonzero(face == f)
+        ax, ay, bx, by, cx, cy = tris[:, np.searchsorted(cdf, u[rows, 0], side="right")]
+        a, b = u[rows, 1], u[rows, 2]
+        flip = a + b > 1.0
+        a, b = np.where(flip, 1.0 - a, a), np.where(flip, 1.0 - b, b)
+        x[rows] = ax + a * bx + b * cx
+        y[rows] = ay + a * by + b * cy
+    return face, x, y, np.fmod(d0 + u[:, 3] * (d1 - d0), TWO_PI)
 
 
 def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
     """Uniform sample of (position, direction) in the cell; deterministic per generator.
 
-    Raises ValueError for a cell off the grid and EmptyCellError for a cell
-    that does not meet its face.
+    The sample is `_states` of the generator's next four doubles; `hit_times`
+    computes sample i of an attempt as this draw from `default_rng([seed, i,
+    attempt])`, for all samples at once as arrays.  Raises ValueError for a
+    cell off the grid and EmptyCellError for a cell that does not meet its face.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    return _cell_sampler(s, cell)(rng)
+    fans = {cell.face: _cell_fan(s, cell)}
+    st = _states(fans, np.full(1, cell.face), rng.random((1, 4)), *cell.dir_interval())
+    return TangentState(*(c.item() for c in st))
+
+
+def _seeded_uniforms(seed, rows, attempt: int, k: int) -> np.ndarray:
+    """(len(rows), k) doubles; the row of i is `np.random.default_rng([seed, i,
+    attempt]).random(k)` bit for bit, for rows and attempts below 2**32.
+
+    SeedSequence hashes the entropy words into a pool of four and expands it
+    to PCG64's seed and increment, in uint32 arithmetic held in uint64 arrays.
+    PCG64 (O'Neill 2014) steps a 128-bit LCG, here as 64-bit halves with an
+    explicit carry, and a double is the top 53 bits of its XSL-RR output.
+    ValueError for a negative seed, TypeError for one that is not an integer,
+    as `default_rng` raises.
+    """
+    m32 = 0xFFFFFFFF
+    const = 0x43B0D7E5
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal const
+        v = (v ^ const) * (const := const * mult & m32) & m32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ r >> 16
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    rows = np.asarray(rows, dtype=np.uint64)  # entropy: 32-bit words of seed, row, attempt
+    entropy = [seed >> b & m32 for b in range(0, max(seed.bit_length(), 1), 32)] + [rows, attempt]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = 0x8B51F9DD  # generate_state(4, uint64): eight words, paired low | high << 32
+    words = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
+    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+
+    def step(hi, lo):  # state * multiplier + inc modulo 2**128, in 64-bit halves
+        l0, l1 = lo & m32, lo >> 32  # lo times the multiplier's low half, by 32-bit parts
+        p01, p10 = l0 * 0x4385DF64, l1 * 0x9FCCF645
+        mid = (l0 * 0x9FCCF645 >> 32) + (p01 & m32) + (p10 & m32)
+        hi = (l1 * 0x4385DF64 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+              + lo * 0x2360ED051FC65DA4 + hi * 0x4385DF649FCCF645 + inc_hi)
+        lo = lo * 0x4385DF649FCCF645
+        out = lo + inc_lo
+        return hi + (out < lo), out
+
+    lo = inc_lo + seed_lo  # from state 0: one step, the seed added, one more step
+    hi, lo = step(inc_hi + seed_hi + (lo < inc_lo), lo)
+    out = np.empty((len(rows), k))
+    for j in range(k):
+        hi, lo = step(hi, lo)
+        v, rot = hi ^ lo, hi >> 58
+        out[:, j] = ((v >> rot | v << (64 - rot & 63)) >> 11) * 2.0**-53
+    return out
 
 
 @dataclass
@@ -143,6 +205,7 @@ class MixingReport:
     t0_estimate: float | None
     samples_used: int
     cone_discards: int
+    exhausted: int  # samples whose MAX_ATTEMPTS draws all met a cone: their path is short
 
 
 def _box_interval(st, box):
@@ -182,33 +245,37 @@ def hit_times(
     Sample i is drawn from O by `sample_cell` with the generator seeded
     [seed, i, attempt] and traced for `horizon`.  A sample that meets a cone
     point is drawn again with attempt + 1, and each such draw counts as a
-    cone discard; after MAX_ATTEMPTS draws the last, short path is kept.  A
-    sample marks every bin [k dt, (k+1) dt) in which one of its segments lies
-    in U's box with a direction in U's sector.
+    cone discard; after MAX_ATTEMPTS draws the last, short path is kept and
+    the sample counts as exhausted.  A sample marks every bin [k dt, (k+1) dt)
+    in which one of its segments lies in U's box with a direction in U's
+    sector.
 
-    All pending samples of an attempt are traced as one batch by
-    `tracer._trace_batch`, and its segments are clipped against U's box as
-    arrays.  While the batch runs, each stretch a path spends in U is noted
-    by (row, first bin, last bin); once it ends, the stretches of the paths
-    that met no cone mark their bins, and so do all of the last attempt's.
-    The report is bit-equal to tracing each sample with `tracer.trace`, which
-    the tests use as the reference.  Raises ValueError for a horizon or dt
-    that is not positive and finite, a non-positive n_samples, and a cell
-    that is not on the NX x NY x NDIR grid of a face of the surface.
+    The pending samples of an attempt are drawn as arrays, the generators'
+    doubles by `_seeded_uniforms` and the states from them by `_states`, and
+    traced as one batch by `tracer._trace_batch`, whose segments are clipped
+    against U's box as arrays.  While the batch runs, each stretch a path
+    spends in U is noted by (row, first bin, last bin); once it ends, the
+    stretches of the paths that met no cone mark their bins, and so do all of
+    the last attempt's.  The report is bit-equal to tracing each sample with
+    `tracer.trace`, which the tests use as the reference.  Raises ValueError
+    for a horizon or dt that is not positive and finite, a non-positive
+    n_samples, a negative seed, and a cell that is not on the NX x NY x NDIR
+    grid of a face of the surface; TypeError for a seed that is not an int.
     """
     if not (0 < horizon < math.inf and 0 < dt < math.inf and n_samples > 0):
         raise ValueError("horizon and dt must be positive and finite, n_samples positive")
     nbins = math.ceil(horizon / dt)
-    draw = _cell_sampler(s, cell_o)
+    fans = {cell_o.face: _cell_fan(s, cell_o)}
     box = cell_u.box(s)
     d0, d1 = cell_u.dir_interval()
     # +1 where a range of visited bins starts, -1 just past its end
     marks = np.zeros(nbins + 1, dtype=np.int64)
 
     discards = 0
-    pending = list(range(n_samples))
+    pending = np.arange(n_samples)
     for attempt in range(MAX_ATTEMPTS):
-        states = (draw(np.random.default_rng([seed, i, attempt])) for i in pending)
+        u = _seeded_uniforms(seed, pending, attempt, 4)
+        states = _states(fans, np.full(len(pending), cell_o.face), u, *cell_o.dir_interval())
         length = np.empty(len(pending))
         stretches = []  # (rows, first bins, last bins) of each step's visits to U
         for st in _trace_batch(s, states, horizon):
@@ -233,7 +300,8 @@ def hit_times(
             np.add.at(marks, np.minimum(last[keep], nbins - 1) + 1, -1)
         if final:
             break  # the last attempt keeps its short paths
-        pending = [pending[i] for i in np.flatnonzero(short).tolist()]
+        pending = pending[short]
+    exhausted = int(short.sum())  # nonzero only when the last attempt ends the loop
     hits = np.cumsum(marks[:nbins]) > 0
     first_hit = None
     idx = np.flatnonzero(hits)
@@ -247,7 +315,7 @@ def hit_times(
     if ok.size:
         t0_estimate = ok[0] * dt
     return MixingReport(
-        cell_o, cell_u, horizon, dt, hits, first_hit, t0_estimate, n_samples, discards
+        cell_o, cell_u, horizon, dt, hits, first_hit, t0_estimate, n_samples, discards, exhausted
     )
 
 
@@ -290,11 +358,12 @@ def transitivity_scan(
 
 def _state_sampler(s: ConeSurface):
     """Draw function of `random_state`, with the face table and the faces' fans computed once."""
-    cdf, fans = _cdf([signed_area(f) for f in s.faces]), [_fan(f) for f in s.faces]
+    cdf, fans = _cdf([signed_area(f) for f in s.faces]), dict(enumerate(map(_fan, s.faces)))
 
     def draw(rng) -> TangentState:
-        face = bisect_right(cdf, rng.random())
-        return TangentState(face, *_uniform_point(fans[face], rng), rng.random() * TWO_PI)
+        u = rng.random((1, 5))  # a face by area, then `_states` in that face
+        face = np.searchsorted(cdf, u[:, 0], side="right")
+        return TangentState(*(c.item() for c in _states(fans, face, u[:, 1:], 0.0, TWO_PI)))
 
     return draw
 

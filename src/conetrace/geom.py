@@ -151,11 +151,12 @@ def circumradius(poly: list[tuple[float, float]]) -> float:
 
 
 def point_in_convex(poly: list[tuple[float, float]], x: float, y: float, tol: float = 0.0) -> bool:
+    """True when (x, y) is in the convex CCW polygon, within tol; never for a NaN coordinate."""
     n = len(poly)
     for i in range(n):
         ax, ay = poly[i]
         bx, by = poly[(i + 1) % n]
-        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < -tol:
+        if not (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= -tol:
             return False
     return True
 

@@ -109,13 +109,16 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
     """Trace the geodesic from `start` for the given arc length, or to the first cone hit.
 
     A crossing captured by `_cone_at` ends the trace with a ConeHit.  Raises
-    ValueError for a length that is negative or not finite, or a start point
-    that is not in its face (a face that is not on the surface included).
+    ValueError for a length that is negative or not finite, a start point
+    that is not in its face (a face that is not on the surface included), or
+    a direction that is not finite.
     """
     if not 0 <= length < math.inf:
         raise ValueError("length must be finite and nonnegative")
     if not s.contains(SurfacePoint(start.face, start.x, start.y)):
         raise ValueError("start point is not inside its face")
+    if not math.isfinite(start.direction):
+        raise ValueError("start direction is not finite")
 
     face = start.face
     px, py = start.x, start.y
@@ -216,18 +219,19 @@ class _Steps(NamedTuple):
     vertex: np.ndarray
 
 
-def _trace_batch(s: ConeSurface, states, length: float):
-    """Trace every start of `states` for `length` at once; yields one `_Steps` per face crossing.
+def _trace_batch(s: ConeSurface, starts, length: float):
+    """Trace the starts (face, x, y, direction), one array each, for `length` at once.
 
-    Each step finds the exit edge of every lane with one vectorised ray/edge
-    solve against its face's edge rows, then moves the lanes that cross into
-    the next chart.  A lane stops at the end of its length or at a cone hit,
-    and the batch ends when every lane has stopped; lanes keep their rows, so
-    arrays keep their size.  A lane whose exit point lies near an end of its
-    exit edge is handed to `_cone_at`.  Lane i is `trace(s, states[i],
-    length)` operation for operation, with the same errors: its segments are
-    that trace's segments bit for bit, and a hit is its ConeHit.  The
-    per-face tables are built in each call.
+    Yields one `_Steps` per face crossing.  Each step finds the exit edge of
+    every lane with one vectorised ray/edge solve against its face's edge
+    rows, then moves the lanes that cross into the next chart.  A lane stops
+    at the end of its length or at a cone hit, and the batch ends when every
+    lane has stopped; lanes keep their rows, so arrays keep their size.  A
+    lane whose exit point lies near an end of its exit edge is handed to
+    `_cone_at`.  Lane i is `trace(s, TangentState(face[i], x[i], y[i],
+    direction[i]), length)` operation for operation, with the same errors:
+    its segments are that trace's segments bit for bit, and a hit is its
+    ConeHit.  The per-face tables are built in each call.
     """
     # imported here so that importing the package loads numpy no earlier than
     # `dynamics` does: loading it first raised the import's peak memory ~2 MB
@@ -235,12 +239,15 @@ def _trace_batch(s: ConeSurface, states, length: float):
 
     if not 0 <= length < math.inf:
         raise ValueError("length must be finite and nonnegative")
-    # one pass, so that `states` may be an iterator that builds each state on demand
-    starts = []
-    for st in states:
-        if not s.contains(SurfacePoint(st.face, st.x, st.y)):
+    face = np.asarray(starts[0], dtype=np.int64)
+    px, py, d = (np.asarray(c, dtype=float) for c in starts[1:])
+    for f, x, y in zip(face.tolist(), px.tolist(), py.tolist()):
+        if not s.contains(SurfacePoint(f, x, y)):
             raise ValueError("start point is not inside its face")
-        starts.append((st.face, st.x, st.y, norm_angle(st.direction)))
+    if not np.isfinite(d).all():
+        raise ValueError("start direction is not finite")
+    d = np.fmod(d, TWO_PI)  # norm_angle
+    d = np.where(d < 0.0, d + TWO_PI, d)
     # edge rows and chart steps of every face, padded to the largest face; a
     # padding edge has a zero normal, so no ray leaves through it
     nf, width = len(s.faces), max(len(f) for f in s.faces)
@@ -256,9 +263,7 @@ def _trace_batch(s: ConeSurface, states, length: float):
     ax, ay, nx, ny = rows[:4]
     corners = rows[[0, 1, 4, 5]].reshape(4, -1)  # (ax, ay, bx, by) by face * width + edge
 
-    n = len(starts)
-    face, px, py, d = np.array(starts, dtype=float).reshape(n, 4).T.copy()
-    face = face.astype(np.int64)
+    n = len(face)
     dx = np.array([math.cos(a) for a in d.tolist()])
     dy = np.array([math.sin(a) for a in d.tolist()])
     arc = np.zeros(n)

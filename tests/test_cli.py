@@ -177,6 +177,19 @@ def test_bad_experiment_args(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--start", "nan,0", "--len", "5"],
+    ["trace", "--start", "0,inf", "--len", "5"],
+    ["trace", "--start", "0,0", "--dir", "nan", "--len", "5"],
+    ["develop", "--start", "0,nan", "--len", "5"],
+    ["mix", *CELLS, "--seed", "-1"],
+], ids=["trace-nan-x", "trace-inf-y", "trace-nan-direction", "develop-nan-y", "mix-seed-negative"])
+def test_non_finite_start_is_usage_error(capsys, tmp_path, argv):
+    assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unique_search_artifact(tmp_path):
     assert run(tmp_path, "unique-search", "--builtin", "octagon6pi", "--budget", "200") == 0
     text = read(tmp_path, "unique.txt")

@@ -1,5 +1,4 @@
 """Phase cells, transitivity scans, cone-approach statistics."""
-import bisect
 import dataclasses
 import math
 
@@ -60,20 +59,24 @@ def test_sample_empty_cell_raises(octagon):
 
 
 def test_uniform_point_picks_as_choice():
-    # the fan's table picks the triangle that Generator.choice(p=shares) picks
-    # and draws the same number, so a second generator of the same seed agrees
-    tris, cdf = dynamics._fan(builtin("decagon4pi4pi").faces[0])
+    # the fan's table picks the triangle that Generator.choice(p=shares) picks,
+    # and a row of four doubles draws as four single draws of the same generator
+    poly = builtin("decagon4pi4pi").faces[0]
+    tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
     areas = np.array([abs(signed_area(list(t))) for t in tris])
+    fans = {3: dynamics._fan(poly)}
     picked = set()
     for seed in range(400):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        x, y = dynamics._uniform_point((tris, cdf), a)
+        face, x, y, d = dynamics._states(fans, np.full(1, 3), a.random((1, 4)), 0.5, 0.75)
         k = int(b.choice(len(tris), p=areas / areas.sum()))
         (px, py), (qx, qy), (rx, ry) = tris[k]
         u, v = b.random(), b.random()
         if u + v > 1.0:
             u, v = 1.0 - u, 1.0 - v
-        assert (x, y) == (px + u * (qx - px) + v * (rx - px), py + u * (qy - py) + v * (ry - py))
+        assert (face[0], x[0], y[0], d[0]) == (
+            3, px + u * (qx - px) + v * (rx - px), py + u * (qy - py) + v * (ry - py),
+            0.5 + b.random() * (0.75 - 0.5))
         assert a.random() == b.random()
         picked.add(k)
     assert picked == set(range(len(tris)))
@@ -82,8 +85,33 @@ def test_uniform_point_picks_as_choice():
     for seed in range(400):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         want = int(b.choice(len(weights), p=weights / weights.sum()))
-        assert bisect.bisect_right(dynamics._cdf(weights), a.random()) == want
+        assert np.searchsorted(dynamics._cdf(weights), a.random(), side="right") == want
         assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 123456789, 2**40 + 3, 2**70 + 11, 2**100 + 7])
+def test_seeded_uniforms_match_default_rng(seed):
+    # seeds of one to four 32-bit words, so that the row and the attempt fall inside and
+    # beyond SeedSequence's pool of four, against the installed numpy's own stream
+    rows = np.arange(0, 2997, 7)
+    for attempt in (0, 1, 63):
+        for k in (4, 5):
+            want = np.array([np.random.default_rng([seed, i, attempt]).random(k) for i in rows])
+            got = dynamics._seeded_uniforms(seed, rows, attempt, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (attempt, k)
+
+
+def test_seeded_uniforms_reject_seeds_as_default_rng_does(octagon):
+    o, u = PhaseCell(0, 4, 8, 10), PhaseCell(0, 11, 8, 10)
+    with pytest.raises(ValueError):
+        np.random.default_rng([-1, 0, 0])
+    with pytest.raises(ValueError):
+        hit_times(octagon, o, u, 10.0, 2.0, 4, seed=-1)
+    for seed in (1.5, "5", None):
+        with pytest.raises(TypeError):
+            hit_times(octagon, o, u, 10.0, 2.0, 4, seed=seed)
+        with pytest.raises(TypeError):
+            dynamics._seeded_uniforms(seed, np.arange(3), 0, 4)
 
 
 def test_hit_times_deterministic(octagon):
@@ -121,7 +149,7 @@ def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
     """hit_times sample by sample through the scalar trace: the reference for the batch."""
     nbins = math.ceil(horizon / dt)
     hits = np.zeros(nbins, dtype=bool)
-    discards = 0
+    discards = exhausted = 0
     x0, y0, x1, y1 = cell_u.box(s)
     d0, d1 = cell_u.dir_interval()
     for i in range(n_samples):
@@ -131,6 +159,8 @@ def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
             if path.length >= horizon - 1e-9:
                 break
             discards += 1  # the last attempt's short path is still binned
+        else:
+            exhausted += 1
         arc = 0.0
         for seg in path.segments:
             lo, hi = 0.0, seg.length
@@ -150,7 +180,7 @@ def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
     frac = (np.cumsum(hits[::-1]) / np.arange(1, nbins + 1))[::-1]
     ok = np.flatnonzero(frac >= dynamics.HIT_FRACTION)
     return MixingReport(cell_o, cell_u, horizon, dt, hits, idx[0] * dt if idx.size else None,
-                        ok[0] * dt if ok.size else None, n_samples, discards)
+                        ok[0] * dt if ok.size else None, n_samples, discards, exhausted)
 
 
 def _attempts(s, cell_o, horizon, n_samples, seed):
@@ -183,6 +213,7 @@ def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
         assert len(batches) == _attempts(s, o, 30.0, 100, 7)
         want = _scalar_hit_times(s, o, u, 30.0, 0.5, 100, 7)
         assert want.cone_discards > 0 and want.hit_bins.any()
+        assert (want.exhausted > 0) == (max_attempts < 64)  # 1 and 2 draws leave short paths
         for field in dataclasses.fields(MixingReport):
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert repr(a) == repr(b), field.name

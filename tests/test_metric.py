@@ -357,6 +357,16 @@ def test_point_not_on_surface(octagon):
     assert local_distance(octagon, origin, on_edge, 16.0) == pytest.approx(APOTHEM, abs=1e-12)
 
 
+def test_nan_point_rejected(octagon):
+    # contains rejects a NaN coordinate, so the search never starts
+    origin = SurfacePoint(0, 0.0, 0.0)
+    for bad in (SurfacePoint(0, math.nan, 0.0), SurfacePoint(0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="not on the surface"):
+            local_distance(octagon, bad, origin, 16.0)
+        with pytest.raises(ValueError, match="not on the surface"):
+            local_distance(octagon, origin, bad, 16.0)
+
+
 def test_busemann_bad_schedule(octagon):
     ray = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 10.0)
     with pytest.raises(ValueError):

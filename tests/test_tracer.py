@@ -23,7 +23,7 @@ from conetrace import (
 )
 from conetrace import tracer
 from conetrace.dynamics import random_state
-from conetrace.surface import parse_surface
+from conetrace.surface import SurfacePoint, parse_surface
 from conetrace.errors import (
     ChartMismatchError,
     EventBudgetExceededError,
@@ -64,7 +64,7 @@ def test_length_not_finite(octagon):
         with pytest.raises(ValueError):
             trace(octagon, start, length)
         with pytest.raises(ValueError):
-            list(tracer._trace_batch(octagon, [start], length))
+            list(tracer._trace_batch(octagon, _columns([start]), length))
 
 
 def test_event_budget(octagon, monkeypatch):
@@ -72,7 +72,7 @@ def test_event_budget(octagon, monkeypatch):
     with pytest.raises(EventBudgetExceededError):
         trace(octagon, TangentState(0, 0.0, 0.0, 0.37), 50.0)
     with pytest.raises(EventBudgetExceededError):
-        list(tracer._trace_batch(octagon, [TangentState(0, 0.0, 0.0, 0.37)], 50.0))
+        list(tracer._trace_batch(octagon, _columns([TangentState(0, 0.0, 0.0, 0.37)]), 50.0))
 
 
 # two unit squares glued into a torus: two faces, and vertices that are not conical
@@ -126,10 +126,16 @@ def _scalar_lane(s, start, length):
     return rows, end, hits, path.length
 
 
+def _columns(starts):
+    """The (face, x, y, direction) arrays that `_trace_batch` takes for a list of states."""
+    face, x, y, direction = zip(*((st.face, st.x, st.y, st.direction) for st in starts))
+    return np.array(face), np.array(x), np.array(y), np.array(direction)
+
+
 def _batch_lanes(s, starts, length):
     rows = [[] for _ in starts]
     hits = [[] for _ in starts]
-    for st in tracer._trace_batch(s, starts, length):
+    for st in tracer._trace_batch(s, _columns(starts), length):
         for i in np.flatnonzero(st.run).tolist():
             rows[i].append(tuple(col[i].item() for col in st[1:11]))
             if st.cone[i] >= 0:
@@ -140,6 +146,33 @@ def _batch_lanes(s, starts, length):
         face, _, _, qx, qy, seg_len, direction, _, _, arc = r[-1]
         out.append((r, (face, qx, qy, direction), h, arc + seg_len))
     return out
+
+
+def test_non_finite_start_rejected(octagon):
+    # a NaN coordinate fails every edge test of contains; an infinite one fails some edge
+    for x, y in ((math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                 (0.0, -math.inf)):
+        assert not octagon.contains(SurfacePoint(0, x, y))
+        with pytest.raises(ValueError, match="not inside its face"):
+            trace(octagon, TangentState(0, x, y, 0.3), 5.0)
+    for direction in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="direction is not finite"):
+            trace(octagon, TangentState(0, 0.0, 0.0, direction), 5.0)
+        starts = [TangentState(0, 0.0, 0.0, 0.3), TangentState(0, 0.1, 0.0, direction)]
+        with pytest.raises(ValueError, match="direction is not finite"):
+            list(tracer._trace_batch(octagon, _columns(starts), 5.0))
+
+
+@pytest.mark.parametrize("bad", [(0, 5.0, 5.0), (-1, 0.0, 0.0), (2, 0.0, 0.0),
+                                 (0, math.nan, 0.0), (1, 0.5, math.nan)],
+                         ids=["outside", "face-neg", "face-len", "nan-x", "nan-y"])
+def test_batch_rejects_bad_start(bad):
+    # one bad lane among good starts stops the batch before its first step
+    s = _octagon_cut()
+    starts = [random_state(s, np.random.default_rng([5, i])) for i in range(20)]
+    starts.insert(7, TangentState(*bad, 0.3))
+    with pytest.raises(ValueError, match="not inside its face"):
+        next(tracer._trace_batch(s, _columns(starts), 10.0))
 
 
 @pytest.mark.parametrize("name", ["octagon6pi", "decagon4pi4pi", "two_squares", "octagon_cut"])
