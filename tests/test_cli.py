@@ -117,7 +117,11 @@ def test_word_breaks_face_chain(capsys, tmp_path):
     ["busemann", "--ray-start", "5,5", "--horizon", "10", "--x", "0,0,0", "--x-prime", "0,0,0.1"],
     ["converge", "--start1", "5,5", "--start2", "0,0.025", "--horizon", "5"],
     ["converge", "--start1", "0,-0.025", "--start2", "5,5", "--horizon", "5"],
-], ids=["trace", "develop", "busemann", "converge-start1", "converge-start2"])
+    ["trace", "--start", "nan,0", "--len", "5"],
+    ["trace", "--start", "0,inf", "--len", "5"],
+    ["develop", "--start", "0,nan", "--len", "5"],
+], ids=["trace", "develop", "busemann", "converge-start1", "converge-start2", "trace-nan-x",
+        "trace-inf-y", "develop-nan-y"])
 def test_start_outside_face(capsys, tmp_path, argv):
     assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
     assert "usage error: start point is not inside its face" in capsys.readouterr().err
@@ -163,28 +167,18 @@ CELLS = ["--horizon", "10", "--cell-o", "0,4,8,10", "--cell-u", "0,11,8,10"]
     ["unique-search", "--max-word-len", "1"],
     ["busemann", "--ray-start", "0,0", "--horizon", "10", "--x", "0,0,0", "--x-prime", "0,0,0.1",
      "--schedule", "5,2"],
+    ["trace", "--start", "0,0", "--dir", "nan", "--len", "5"],
+    ["mix", *CELLS, "--seed", "-1"],
 ], ids=["cell-face", "cell-idir-high", "cell-idir-negative", "cell-u-ix", "mix-samples",
         "transit-samples", "mix-dt", "transit-dt", "cone-approach-trajectories",
         "trace-len-inf", "develop-len-nan", "cone-approach-length-nan",
         "cone-approach-length-inf", "transit-horizon-inf", "transit-dt-inf",
-        "converge-samples-1", "converge-samples-0", "unique-search-word-len", "busemann-schedule"])
+        "converge-samples-1", "converge-samples-0", "unique-search-word-len", "busemann-schedule",
+        "trace-dir-nan", "mix-seed-negative"])
 def test_bad_experiment_args(capsys, tmp_path, argv):
     # the octagon has one face and a 16x16x64 grid of cells; the later --cell-o,
     # --cell-u or --horizon replaces the one in CELLS.  Lengths, horizons and dts
     # must be finite, and sample counts and word lengths large enough to use
-    assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
-    assert "usage error" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv", [
-    ["trace", "--start", "nan,0", "--len", "5"],
-    ["trace", "--start", "0,inf", "--len", "5"],
-    ["trace", "--start", "0,0", "--dir", "nan", "--len", "5"],
-    ["develop", "--start", "0,nan", "--len", "5"],
-    ["mix", *CELLS, "--seed", "-1"],
-], ids=["trace-nan-x", "trace-inf-y", "trace-nan-direction", "develop-nan-y", "mix-seed-negative"])
-def test_non_finite_start_is_usage_error(capsys, tmp_path, argv):
     assert run(tmp_path, argv[0], "--builtin", "octagon6pi", *argv[1:]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

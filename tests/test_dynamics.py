@@ -101,19 +101,6 @@ def test_seeded_uniforms_match_default_rng(seed):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (attempt, k)
 
 
-def test_seeded_uniforms_reject_seeds_as_default_rng_does(octagon):
-    o, u = PhaseCell(0, 4, 8, 10), PhaseCell(0, 11, 8, 10)
-    with pytest.raises(ValueError):
-        np.random.default_rng([-1, 0, 0])
-    with pytest.raises(ValueError):
-        hit_times(octagon, o, u, 10.0, 2.0, 4, seed=-1)
-    for seed in (1.5, "5", None):
-        with pytest.raises(TypeError):
-            hit_times(octagon, o, u, 10.0, 2.0, 4, seed=seed)
-        with pytest.raises(TypeError):
-            dynamics._seeded_uniforms(seed, np.arange(3), 0, 4)
-
-
 def test_hit_times_deterministic(octagon):
     o, u = PhaseCell(0, 4, 8, 10), PhaseCell(0, 11, 8, 10)
     r1 = hit_times(octagon, o, u, 100.0, 2.0, 20, seed=5)
@@ -143,6 +130,12 @@ def test_hit_times_validates_args(octagon):
     for n, length in ((0, 10.0), (1, math.inf), (1, math.nan)):
         with pytest.raises(ValueError):
             cone_approach_experiment(octagon, n, length)
+    # seeds that default_rng([seed, i, attempt]) rejects
+    for seed, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng([seed, 0, 0])
+        with pytest.raises(error):
+            hit_times(octagon, o, u, 10.0, 2.0, 4, seed=seed)
 
 
 def _scalar_hit_times(s, cell_o, cell_u, horizon, dt, n_samples, seed):
