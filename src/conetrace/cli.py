@@ -21,7 +21,7 @@ from .closed import (
     flat_cylinder,
     shorten,
 )
-from .errors import ConetraceError, NotConeFreeError
+from .errors import ConetraceError
 from .metric import busemann, convergence_profile, equidistant_reparam
 from .dynamics import PhaseCell, cone_approach_experiment, hit_times, transitivity_scan
 from .surface import (
@@ -33,7 +33,7 @@ from .surface import (
     serialize,
     validate,
 )
-from .tracer import TangentState, develop, trace
+from .tracer import ConeHit, EdgeCross, TangentState, develop, time_shift, trace
 
 
 class UsageError(Exception):
@@ -161,8 +161,6 @@ def _trace_from_args(s, args):
 
 def _event_rows(path):
     rows = ["type,arc_length,gluing,forward,class"]
-    from .tracer import ConeHit, EdgeCross
-
     for ev in path.events:
         if isinstance(ev, EdgeCross):
             rows.append(f"edge_cross,{_g(ev.arc_length)},{ev.gluing},{int(ev.forward)},")
@@ -218,11 +216,7 @@ def _cmd_shorten(args):
 def _cmd_cylinder(args):
     s = _load_surface(args)
     g = _shorten_word(s, args)
-    try:
-        cyl = flat_cylinder(s, g)
-    except NotConeFreeError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
+    cyl = flat_cylinder(s, g)
     rows = [
         f"circumference {_g(cyl.circumference)}",
         f"width_left {_g(cyl.width_left)}",
@@ -263,8 +257,6 @@ def _cmd_converge(args):
     g2 = _checked(trace, s, TangentState(args.face2, x2, y2, args.dir2), args.horizon * 1.5)
     c = _checked(equidistant_reparam, s, g1, g2)
     if abs(c) > 1e-12:
-        from .tracer import time_shift
-
         if c > 0:
             g1 = time_shift(g1, c)
         else:

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, replace
 
 from .errors import (
     BudgetExhaustedError,
+    NoConePointsError,
     NoConvergenceError,
     NotConeFreeError,
     NullHomotopicError,
 )
-from .geom import PlaneIsometry, norm_angle
+from .geom import EPS_ANGLE, PlaneIsometry, norm_angle
 from .surface import ConeSurface, places_along
 from .tracer import (
     ConeHit,
@@ -34,8 +35,6 @@ from .tracer import (
     TangentState,
     _placed_cone_vertices,
 )
-
-EPS_ANGLE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -607,12 +606,14 @@ def is_unique_in_class(g: ClosedGeodesic):
 
 
 def flat_cylinder(s: ConeSurface, g: ClosedGeodesic) -> FlatCylinder:
-    """Maximal flat cylinder around a cone-free closed geodesic."""
+    """Maximal flat cylinder around a cone-free closed geodesic.
+
+    NoConePointsError when no conical point bounds it, as on a cone-free surface.
+    """
     if g.through_cones:
         raise NotConeFreeError("core passes through cone points")
-    if g.width_left is None or g.width_right is None:
-        fresh = shorten(s, Loop(list(g.crossings)))
-        g = fresh
+    if g.width_left is None:
+        raise NoConePointsError("no conical point bounds the cylinder")
     return FlatCylinder(g, g.width_left, g.width_right, g.period)
 
 
@@ -667,7 +668,7 @@ def find_unique_closed(
 ) -> ClosedGeodesic:
     """Search random homotopy classes of 2 to max_word_len crossings for a geodesic unique in its class."""
     if not s.conical_classes:
-        raise ValueError("surface has no conical points")
+        raise NoConePointsError("surface has no conical points")
     if max_word_len < 2:
         raise ValueError("max_word_len must be at least 2")
     rng = random.Random(seed)

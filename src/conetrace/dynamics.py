@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCellError
+from .errors import EmptyCellError, NoConePointsError
 from .geom import TWO_PI, clip_convex, signed_area
 from .surface import ConeSurface
 from .tracer import TangentState, _trace_batch, min_cone_distance_profile, trace
@@ -120,7 +120,7 @@ def _states(fans, face, u, d0: float, d1: float):
     return face, x, y, np.fmod(d0 + u[:, 3] * (d1 - d0), TWO_PI)
 
 
-def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
+def sample_cell(s: ConeSurface, cell: PhaseCell, rng: np.random.Generator) -> TangentState:
     """Uniform sample of (position, direction) in the cell; deterministic per generator.
 
     The sample is `_states` of the generator's next four doubles; `hit_times`
@@ -128,8 +128,6 @@ def sample_cell(s: ConeSurface, cell: PhaseCell, rng) -> TangentState:
     attempt])`, for all samples at once as arrays.  Raises ValueError for a
     cell off the grid and EmptyCellError for a cell that does not meet its face.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     fans = {cell.face: _cell_fan(s, cell)}
     st = _states(fans, np.full(1, cell.face), rng.random((1, 4)), *cell.dir_interval())
     return TangentState(*(c.item() for c in st))
@@ -377,9 +375,12 @@ def cone_approach_experiment(s: ConeSurface, n_trajectories: int, length: float,
     """Final running-minimum cone distance of random trajectories.
 
     Returns (rows, quantiles): rows are (trajectory id, final running min);
-    a trajectory that hits a cone point scores zero.  Raises ValueError for
-    fewer than one trajectory or a length that is negative or not finite.
+    a trajectory that hits a cone point scores zero.  Raises NoConePointsError
+    on a surface without conical points, and ValueError for fewer than one
+    trajectory or a length that is negative or not finite.
     """
+    if not s.conical_classes:
+        raise NoConePointsError("surface has no conical points")
     if not (n_trajectories >= 1 and 0 <= length < math.inf):
         raise ValueError("n_trajectories must be positive and length finite and nonnegative")
     rows = []

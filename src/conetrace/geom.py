@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 
 TWO_PI = 2.0 * math.pi
+EPS_ANGLE = 1e-9  # radians; angles closer than this count as equal
 
 
 def norm_angle(a: float) -> float:
@@ -164,48 +165,22 @@ def point_in_convex(poly: list[tuple[float, float]], x: float, y: float, tol: fl
 def clip_convex(poly: list[tuple[float, float]], box: tuple[float, float, float, float]):
     """Sutherland-Hodgman clip of a convex CCW polygon against an axis box."""
     xlo, ylo, xhi, yhi = box
-
-    def clip_half(pts, inside, intersect):
+    pts = list(poly)
+    # each half-plane keeps side * p[axis] >= side * bound; negation is exact
+    for axis, bound, side in ((0, xlo, 1.0), (0, xhi, -1.0), (1, ylo, 1.0), (1, yhi, -1.0)):
+        if not pts:
+            return []
+        inside = [side * p[axis] >= side * bound for p in pts]
         out = []
-        n = len(pts)
-        for i in range(n):
-            a = pts[i]
-            b = pts[(i + 1) % n]
-            ia, ib = inside(a), inside(b)
+        for a, b, ia, ib in zip(pts, pts[1:] + pts[:1], inside, inside[1:] + inside[:1]):
             if ia:
                 out.append(a)
             if ia != ib:
-                out.append(intersect(a, b))
-        return out
-
-    pts = list(poly)
-    for side in range(4):
-        if not pts:
-            return []
-        if side == 0:
-            ins = lambda p: p[0] >= xlo
-            itx = lambda a, b: _x_cut(a, b, xlo)
-        elif side == 1:
-            ins = lambda p: p[0] <= xhi
-            itx = lambda a, b: _x_cut(a, b, xhi)
-        elif side == 2:
-            ins = lambda p: p[1] >= ylo
-            itx = lambda a, b: _y_cut(a, b, ylo)
-        else:
-            ins = lambda p: p[1] <= yhi
-            itx = lambda a, b: _y_cut(a, b, yhi)
-        pts = clip_half(pts, ins, itx)
+                t = (bound - a[axis]) / (b[axis] - a[axis])
+                cut = a[1 - axis] + t * (b[1 - axis] - a[1 - axis])
+                out.append((bound, cut) if axis == 0 else (cut, bound))
+        pts = out
     return pts
-
-
-def _x_cut(a, b, x):
-    t = (x - a[0]) / (b[0] - a[0])
-    return (x, a[1] + t * (b[1] - a[1]))
-
-
-def _y_cut(a, b, y):
-    t = (y - a[1]) / (b[1] - a[1])
-    return (a[0] + t * (b[0] - a[0]), y)
 
 
 def dist_point_segment(px, py, ax, ay, bx, by) -> float:
@@ -229,25 +204,25 @@ def dist_point_segment(px, py, ax, ay, bx, by) -> float:
 # angles with 0 < hi - lo < pi.  All windows produced by edge subtension have
 # width below pi, so intersections stay representable.
 
+WINDOW_MIN_WIDTH = 1e-14  # an intersection no wider than this is empty
+WINDOW_TOL = 1e-12  # slack of window_contains at both ends
+
+
 def subtend(px, py, ax, ay, bx, by):
     """Angular interval of directions from (px,py) that cross segment a-b, or None-width pair."""
     a1 = math.atan2(ay - py, ax - px)
     a2 = math.atan2(by - py, bx - px)
-    d = math.fmod(a2 - a1, TWO_PI)
-    if d <= -math.pi:
-        d += TWO_PI
-    elif d > math.pi:
-        d -= TWO_PI
+    d = ang_diff(a2, a1)
     if d >= 0.0:
         return (a1, a1 + d)
     return (a1 + d, a1)
 
 
-def window_intersect(w, v, min_width=1e-14):
+def window_intersect(w, v):
     """Intersect two windows; None input means the full circle. Returns None when empty."""
     if w is None:
         lo, hi = v
-        return (lo, hi) if hi - lo > min_width else None
+        return (lo, hi) if hi - lo > WINDOW_MIN_WIDTH else None
     lo, hi = w
     a, b = v
     k = round(((lo + hi) - (a + b)) / (2.0 * TWO_PI))
@@ -255,15 +230,15 @@ def window_intersect(w, v, min_width=1e-14):
     b += TWO_PI * k
     nlo = lo if lo > a else a
     nhi = hi if hi < b else b
-    if nhi - nlo <= min_width:
+    if nhi - nlo <= WINDOW_MIN_WIDTH:
         return None
     return (nlo, nhi)
 
 
-def window_contains(w, ang, tol=1e-12) -> bool:
+def window_contains(w, ang) -> bool:
     if w is None:
         return True
     lo, hi = w
     k = round(((lo + hi) * 0.5 - ang) / TWO_PI)
     ang += TWO_PI * k
-    return lo - tol <= ang <= hi + tol
+    return lo - WINDOW_TOL <= ang <= hi + WINDOW_TOL

@@ -26,7 +26,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConeOnRayError, ExceedsRadiusError, NoBracketError, SearchTruncatedError
+from .errors import (
+    ConeOnRayError,
+    ExceedsRadiusError,
+    NoBracketError,
+    NoConePointsError,
+    SearchTruncatedError,
+)
 from .geom import (
     PlaneIsometry,
     ang_diff,
@@ -148,7 +154,7 @@ def _complete(res: _ChordResult) -> _ChordResult:
     return res
 
 
-def _point_roots(s: ConeSurface, p: SurfacePoint):
+def _point_roots(p: SurfacePoint):
     return [(p.face, p.x, p.y, None, PlaneIsometry.identity())]
 
 
@@ -199,7 +205,7 @@ def lift_point(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
     if x.face == y.face and x.x == y.x and x.y == y.y:
         return 0.0, PlaneIsometry.identity()
 
-    first = _complete(_chords(s, _point_roots(s, x), y, radius))
+    first = _complete(_chords(s, _point_roots(x), y, radius))
     best, last = first.to_target, (None, first.root, first.place)
     # reach[c]: (distance to class c, the class before it or None, the chord into it)
     reach = {c: (hit[0], None, hit) for c, hit in first.to_class.items()}
@@ -240,9 +246,12 @@ def lift_point(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
 def shortest_saddle_connection(s: ConeSurface) -> float:
     """Minimal positive distance between conical points (classes may coincide).
 
-    Raises SearchTruncated when the node budget or the depth cap stops a search.
+    Raises NoConePointsError on a surface without conical points, and
+    SearchTruncated when the node budget or the depth cap stops a search.
     """
     classes = s.conical_classes
+    if not classes:
+        raise NoConePointsError("surface has no conical points")
     best = math.inf
     cap = 4.0 * s.diam_hint
     while math.isinf(best) and cap <= 64.0 * s.diam_hint:
@@ -279,7 +288,7 @@ def _enumerate_lifts(s: ConeSurface, base, target, radius: float) -> list[PlaneI
     Raises SearchTruncated when the node budget or the depth cap cuts the
     search short.
     """
-    return _complete(_chords(s, _point_roots(s, base), target, radius, every_copy=True)).copies
+    return _complete(_chords(s, _point_roots(base), target, radius, every_copy=True)).copies
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from typing import NamedTuple
 
 from .errors import (
     DanglingEdgeError,
-    NoConePointsError,
     NonConvexFaceError,
     SurfaceSyntaxError,
     UnknownBuiltinError,
 )
 from .geom import (
+    EPS_ANGLE,
     TWO_PI,
     PlaneIsometry,
     circumradius,
@@ -28,8 +28,6 @@ from .geom import (
     point_in_convex,
     signed_area,
 )
-
-EPS_ANGLE = 1e-9  # radians
 
 
 @dataclass(frozen=True)
@@ -434,11 +432,3 @@ def builtin(name: str) -> ConeSurface:
         return parse_surface(_regular_gon_text(name, 10))
     raise UnknownBuiltinError(name)
 
-
-def min_cone_separation(s: ConeSurface) -> float:
-    """Shortest positive distance between conical points (shortest saddle connection)."""
-    if not s.conical_classes:
-        raise NoConePointsError("surface has no conical points")
-    from .metric import shortest_saddle_connection
-
-    return shortest_saddle_connection(s)

@@ -29,7 +29,7 @@ from .errors import (
     NotALoopError,
     OutOfWindowError,
 )
-from .geom import TWO_PI, PlaneIsometry, ang_diff, norm_angle
+from .geom import EPS_ANGLE, TWO_PI, PlaneIsometry, ang_diff, norm_angle
 from .surface import ConeSurface, SurfacePoint, places_along
 
 if TYPE_CHECKING:
@@ -459,11 +459,6 @@ def word_holonomy(s: ConeSurface, word: list[tuple[int, bool]]) -> PlaneIsometry
     return places_along(s, word)[-1]
 
 
-def itinerary(path: GeodesicPath) -> list[tuple[int, int]]:
-    """One signed letter per edge crossing: (gluing id, +1 forward / -1 backward)."""
-    return [(ev.gluing, 1 if ev.forward else -1) for ev in path.edge_crossings]
-
-
 # ---------------------------------------------------------------------------
 # cone continuations
 
@@ -480,8 +475,7 @@ def cone_scatter(s: ConeSurface, hit: ConeHit, outgoing: float) -> TangentState:
         raise ValueError(f"outgoing coordinate must lie in [0, {theta})")
     gamma_l = outgoing
     gamma_r = theta - outgoing
-    eps = 1e-9
-    if min(gamma_l, gamma_r) < math.pi - eps:
+    if min(gamma_l, gamma_r) < math.pi - EPS_ANGLE:
         raise InvalidScatterError(gamma_l, gamma_r)
     back = norm_angle(hit.direction + math.pi)
     coord_in = s.cone_coordinate(hit.face, hit.vertex, back)
@@ -491,58 +485,7 @@ def cone_scatter(s: ConeSurface, hit: ConeHit, outgoing: float) -> TangentState:
 
 
 # ---------------------------------------------------------------------------
-# path comparison and cone-distance profiles
-
-def _arc_positions(lengths):
-    """Cumulative arc lengths of the developed polyline vertices."""
-    acc = [0.0]
-    for L in lengths:
-        acc.append(acc[-1] + L)
-    return acc
-
-
-def _dev_point(polyline, acc, t):
-    if t <= 0.0:
-        return polyline[0]
-    for i in range(len(acc) - 1):
-        if t <= acc[i + 1] or i == len(acc) - 2:
-            seg = acc[i + 1] - acc[i]
-            u = 0.0 if seg <= 0.0 else (t - acc[i]) / seg
-            x0, y0 = polyline[i]
-            x1, y1 = polyline[i + 1]
-            return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
-    return polyline[-1]
-
-
-def compare_paths(g1: GeodesicPath, g2: GeodesicPath, horizon: float) -> float:
-    """Truncated exponentially-weighted integral distance between two developed paths.
-
-    Both paths are developed into the chart of their (shared) start face and
-    centered at their midpoints; the integrand |dev g1(t) - dev g2(t)| e^{-|t|}
-    is integrated over the common window by the composite midpoint rule.
-    """
-    if g1.start.face != g2.start.face:
-        raise ChartMismatchError("paths start in different faces")
-    _, p1 = develop(g1)
-    _, p2 = develop(g2)
-    acc1 = _arc_positions([s.length for s in g1.segments])
-    acc2 = _arc_positions([s.length for s in g2.segments])
-    c1, c2 = g1.length / 2.0, g2.length / 2.0
-    h = min(horizon, c1, c2)
-    if h <= 0.0:
-        a = _dev_point(p1, acc1, c1)
-        b = _dev_point(p2, acc2, c2)
-        return math.dist(a, b) * 2.0  # degenerate zero-length window
-    n = 2048
-    step = 2.0 * h / n
-    total = 0.0
-    for k in range(n):
-        t = -h + (k + 0.5) * step
-        a = _dev_point(p1, acc1, c1 + t)
-        b = _dev_point(p2, acc2, c2 + t)
-        total += math.dist(a, b) * math.exp(-abs(t))
-    return total * step
-
+# cone-distance profiles
 
 def min_cone_distance_profile(s: ConeSurface, path: GeodesicPath):
     """Running minimum of developed distance from the path to nearby conical vertices.

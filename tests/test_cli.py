@@ -24,14 +24,31 @@ def test_validate_builtin(capsys, tmp_path):
     assert "ok" in out.splitlines()[-1]
 
 
-def test_validate_invalid_surface(capsys, tmp_path):
+def torus_file(tmp_path):
+    """The flat square torus, which has no conical point."""
     surf = tmp_path / "torus.surf"
     surf.write_text(
         "surface torus\nface 0 4 0 0 1 0 1 1 0 1\nglue 0.0 0.2\nglue 0.1 0.3\n"
     )
-    assert run(tmp_path, "validate", str(surf)) == 1
+    return surf
+
+
+def test_validate_invalid_surface(capsys, tmp_path):
+    assert run(tmp_path, "validate", str(torus_file(tmp_path))) == 1
     out = capsys.readouterr().out
     assert "violation NO_CONE_POINT" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cylinder", "--word", "0+"],
+    ["cone-approach", "--length", "3"],
+    ["unique-search"],
+])
+def test_cone_free_surface_rejected(capsys, tmp_path, argv):
+    surf = torus_file(tmp_path)
+    assert run(tmp_path, argv[0], str(surf), *argv[1:]) == 1
+    assert "validation failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [surf]
 
 
 def test_missing_surface_file(capsys, tmp_path):

@@ -13,6 +13,7 @@ from conetrace import (
     builtin,
     certificate_text,
     cyclic_reduce,
+    develop,
     find_unique_closed,
     flat_cylinder,
     is_unique_in_class,
@@ -23,6 +24,7 @@ from conetrace import (
 )
 from conetrace.errors import (
     BudgetExhaustedError,
+    ChartMismatchError,
     NoConvergenceError,
     NotConeFreeError,
     NullHomotopicError,
@@ -97,6 +99,8 @@ def test_flat_cylinder_requires_cone_free(octagon):
 def test_find_unique_closed(octagon):
     g = find_unique_closed(octagon, 200)
     assert g.through_cones
+    with pytest.raises(ChartMismatchError, match="interior cone hits"):
+        develop(g.cycle)  # the cycle turns at its cone passages
     assert g.period == pytest.approx(UNIQUE_PERIOD, abs=1e-9)
     unique, cert = is_unique_in_class(g)
     assert unique

@@ -8,9 +8,9 @@ from conetrace import (
     PlaneIsometry,
     builtin,
     gb_residual,
-    min_cone_separation,
     parse_surface,
     serialize,
+    shortest_saddle_connection,
     validate,
 )
 from conetrace.errors import (
@@ -142,18 +142,9 @@ def test_cone_angles_rigid_motion_invariant(octagon):
     assert abs(s2.cone_angles[0] - octagon.cone_angles[0]) < 1e-9
 
 
-def test_min_cone_separation_octagon(octagon):
-    # shortest saddle connection of the glued octagon is one side length
-    assert abs(min_cone_separation(octagon) - 2 * math.sin(math.pi / 8)) < 1e-9
-
-
-def test_min_cone_separation_decagon(decagon):
-    assert abs(min_cone_separation(decagon) - 2 * math.sin(math.pi / 10)) < 1e-9
-
-
-def test_min_cone_separation_requires_cones():
+def test_saddle_connection_requires_cones():
     with pytest.raises(NoConePointsError):
-        min_cone_separation(parse_surface(TORUS_TEXT))
+        shortest_saddle_connection(parse_surface(TORUS_TEXT))
 
 
 def _isometries(s):

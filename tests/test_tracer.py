@@ -1,5 +1,4 @@
-"""Geodesic tracing, development, holonomy, path comparison."""
-import dataclasses
+"""Geodesic tracing, development, holonomy, cone-distance profiles."""
 import math
 
 import numpy as np
@@ -8,11 +7,9 @@ import pytest
 from conetrace import (
     TangentState,
     builtin,
-    compare_paths,
     cone_scatter,
     develop,
     holonomy,
-    itinerary,
     min_cone_distance_profile,
     point_at,
     reverse,
@@ -25,7 +22,6 @@ from conetrace import tracer
 from conetrace.dynamics import random_state
 from conetrace.surface import SurfacePoint, parse_surface
 from conetrace.errors import (
-    ChartMismatchError,
     EventBudgetExceededError,
     InvalidScatterError,
     NotALoopError,
@@ -267,10 +263,13 @@ def test_holonomy_functoriality(octagon):
 
 
 def test_itinerary(octagon):
-    assert itinerary(trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 0.5)) == []
+    def letters(path):
+        return [(ev.gluing, ev.forward) for ev in path.edge_crossings]
+
+    assert letters(trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 0.5)) == []
     p = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 2.5)
-    assert itinerary(p) == [(0, 1)]
-    assert itinerary(reverse(p)) == [(0, -1)]
+    assert letters(p) == [(0, True)]
+    assert letters(reverse(p)) == [(0, False)]
 
 
 def test_time_shift_identity_and_full(octagon):
@@ -325,27 +324,6 @@ def test_ray_uniqueness_surrogate(octagon):
     _, l2 = develop(p2)
     assert l1[0] == l2[0]
     assert math.dist(l1[-1], l2[-1]) > 1.0
-
-
-def test_compare_paths_zero_and_symmetry(octagon):
-    g1 = trace(octagon, TangentState(0, 0.0, -0.025, 0.0), 4.2)
-    g2 = trace(octagon, TangentState(0, 0.0, 0.025, 0.0), 4.2)
-    assert compare_paths(g1, g1, 2.0) == 0.0
-    assert compare_paths(g1, g2, 2.0) == pytest.approx(compare_paths(g2, g1, 2.0), abs=1e-12)
-
-
-def test_compare_paths_parallel_closed_form(octagon):
-    g1 = trace(octagon, TangentState(0, 0.0, -0.025, 0.0), 4.2)
-    g2 = trace(octagon, TangentState(0, 0.0, 0.025, 0.0), 4.2)
-    want = 0.05 * (2 - 2 * math.exp(-2.0))
-    assert compare_paths(g1, g2, 2.0) == pytest.approx(want, abs=1e-6)
-
-
-def test_compare_paths_chart_mismatch(octagon):
-    g1 = trace(octagon, TangentState(0, 0.0, 0.0, 0.0), 1.0)
-    g2 = dataclasses.replace(g1, start=dataclasses.replace(g1.start, face=1))
-    with pytest.raises(ChartMismatchError):
-        compare_paths(g1, g2, 1.0)
 
 
 def test_min_cone_profile_mid_loop(octagon):
