@@ -208,6 +208,31 @@ def test_shorten_outcomes_pinned(name):
     assert hashlib.sha256(repr(out).encode()).hexdigest() == PINNED_OUTCOMES[name]
 
 
+# sha256 over 300 closing words of each result's certificate_text, repr of its
+# crossings (params included) and anchors, or its exception's type and message
+PINNED_RESULTS = {
+    "octagon6pi": "d9fb73ddb48dda67c996954c46aad5dd57e68c1e130ea206ba2410ee8755c5b5",
+    "decagon4pi4pi": "03576a615c412e604be20a6e2f8f849e678418275a7f8275adda3ea69eb8498f",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shorten_results_pinned(name):
+    # the whole output: crossing params, widths, passage angles and anchors
+    s = builtin(name)
+    h = hashlib.sha256()
+    for word in _closing_words(s, 22, 300):
+        try:
+            g = shorten(s, Loop(word), max_iters=1000)
+        except (NullHomotopicError, NoConvergenceError) as e:
+            h.update(f"{type(e).__name__}: {e}\n".encode())
+            continue
+        h.update(certificate_text(s, g).encode())
+        h.update(repr(g.crossings).encode())
+        h.update(repr(g.anchors).encode())
+    assert h.hexdigest() == PINNED_RESULTS[name]
+
+
 def test_certificate_text(octagon):
     g = find_unique_closed(octagon, 200)
     text = certificate_text(octagon, g)
