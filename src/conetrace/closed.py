@@ -175,31 +175,11 @@ def validate_word(s: ConeSurface, word: list[Crossing]):
 
 
 # ---------------------------------------------------------------------------
-# corner fan walks
-
-def _wedge_letters(s: ConeSurface, corner_in, corner_out, ccw: bool) -> list[Crossing]:
-    """Crossing letters collected walking around a vertex class between two corners."""
-    letters = []
-    cur = corner_in
-    cap = sum(len(fan) for fan in s.class_corners) + 2
-    while cur != corner_out:
-        f, v = cur
-        # ccw leaves across the edge ending at the vertex, cw across the one starting there
-        nb = s.neighbours[f][(v - 1) % len(s.faces[f]) if ccw else v]
-        letters.append(Crossing(nb.gluing, nb.forward, 0.5))
-        cur = (nb.face, nb.edge if ccw else (nb.edge + 1) % len(s.faces[nb.face]))
-        cap -= 1
-        if cap < 0:
-            raise NoConvergenceError(0)
-    return letters
-
-
-# ---------------------------------------------------------------------------
 # corridor development
 
 @dataclass
 class _Arc:
-    """Tightened geodesic arc between two cone anchors."""
+    """Arc between two cone anchors; _tighten_arc returns it with its straight chord filled in."""
 
     word: list[Crossing]
     start_corner: tuple[int, int]  # corner_out of the starting anchor
@@ -210,254 +190,222 @@ class _Arc:
     length: float = 0.0
 
 
-class _Shortener:
-    def __init__(self, s: ConeSurface, word: list[Crossing]):
-        self.s = s
-        self.word = word
-        self.arcs: list[_Arc] = []
-        # cyclic (anchor-free) state
-        self.places = None
-        self.edges = None
-        self.axis_offset = None
-        self.axis_dir = None
-        self.holonomy = None
-        self.params: list[float] = []
+@dataclass
+class _Axis:
+    """Cone-free result: the holonomy's invariant axis through the word's corridor."""
 
-    @property
-    def anchors(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """(corner_in, corner_out) of anchor i, which sits between arcs[i-1] and arcs[i]."""
-        arcs = self.arcs
-        return [(arcs[i - 1].end_corner, arcs[i].start_corner) for i in range(len(arcs))]
+    word: list[Crossing]
+    places: list[PlaneIsometry]
+    edges: list
+    holonomy: PlaneIsometry
+    direction: tuple[float, float]
+    offset: float
+    length: float
 
-    # -- cyclic (cone-free candidate) ---------------------------------------
 
-    def _tighten_cyclic(self):
-        """Fit an invariant axis through the corridor; returns a violation or None."""
-        s = self.s
-        places, edges = _corridor(s, self.word)
-        H = places[-1]
-        self.places = places
-        self.edges = edges
-        self.holonomy = H
-        if abs(H.rot) > 1e-7:
-            # rotational holonomy has no axis; pin the corridor vertex nearest
-            # the fixed point of the rotation
-            cx, cy = _rotation_fixed_point(H)
-            best = None
-            for k, edge in enumerate(edges):
-                for which in (0, 1):
-                    px, py = edge[which]
-                    d = math.hypot(px - cx, py - cy)
-                    if (best is None or d < best[0]) and s.is_conical(s.vertex_class[edge[2 + which]]):
-                        best = (d, k, which)
-            if best is None:
-                raise NoConvergenceError(0)
-            return ("snap_cyclic", best[1], best[2])
-        ux, uy = H.tx, H.ty
-        tl = math.hypot(ux, uy)
-        if tl <= 100 * s.eps_geom:
-            raise NullHomotopicError("holonomy is the identity")
-        self.axis_dir = (ux / tl, uy / tl)
+def _tighten_cyclic(s: ConeSurface, word: list[Crossing]):
+    """Fit an invariant axis through the corridor: (_Axis, None) or (None, violation (k, which))."""
+    places, edges = _corridor(s, word)
+    H = places[-1]
+    if abs(H.rot) > 1e-7:
+        # rotational holonomy has no axis; pin the corridor vertex nearest
+        # the fixed point of the rotation
+        cx, cy = _rotation_fixed_point(H)
+        best = None
+        for k, edge in enumerate(edges):
+            for which in (0, 1):
+                px, py = edge[which]
+                d = math.hypot(px - cx, py - cy)
+                if (best is None or d < best[0]) and s.is_conical(s.vertex_class[edge[2 + which]]):
+                    best = (d, k, which)
+        if best is None:
+            raise NoConvergenceError(0)
+        return None, (best[1], best[2])
+    ux, uy = H.tx, H.ty
+    tl = math.hypot(ux, uy)
+    if tl <= 100 * s.eps_geom:
+        raise NullHomotopicError("holonomy is the identity")
+    axis_dir = (ux / tl, uy / tl)
 
-        crossval = _crossval(self.axis_dir)
-        intervals = []
-        for p0, p1, _, _ in edges:
-            c0 = crossval(p0)
-            c1 = crossval(p1)
-            intervals.append((min(c0, c1), max(c0, c1), c0, c1))
-        lo = max(iv[0] for iv in intervals)
-        hi = min(iv[1] for iv in intervals)
-        if lo <= hi:
-            self.set_axis(0.5 * (lo + hi))
-            return None
-        mid = 0.5 * (lo + hi)
-        worst, at = -1.0, None
-        for k, iv in enumerate(intervals):
-            viol = max(iv[0] - mid, mid - iv[1], 0.0)
+    crossval = _crossval(axis_dir)
+    intervals = []
+    for p0, p1, _, _ in edges:
+        c0 = crossval(p0)
+        c1 = crossval(p1)
+        intervals.append((min(c0, c1), max(c0, c1), c0, c1))
+    lo = max(iv[0] for iv in intervals)
+    hi = min(iv[1] for iv in intervals)
+    if lo <= hi:
+        return _Axis(word, places, edges, H, axis_dir, 0.5 * (lo + hi), tl), None
+    mid = 0.5 * (lo + hi)
+    worst, at = -1.0, None
+    for k, iv in enumerate(intervals):
+        viol = max(iv[0] - mid, mid - iv[1], 0.0)
+        if viol > worst:
+            worst = viol
+            which = 0 if abs(iv[2] - mid) < abs(iv[3] - mid) else 1
+            at = (k, which)
+    return None, at
+
+
+def _tighten_arc(s: ConeSurface, arc: _Arc):
+    """Straight chord between the arc's anchors: (tightened _Arc, violation (k, which) or None)."""
+    places, edges = _corridor(s, arc.word)
+    f0, v0 = arc.start_corner
+    p_start = s.faces[f0][v0]
+    f1, v1 = arc.end_corner
+    p_end = places[-1].apply(*s.faces[f1][v1])
+    ax, ay = p_start
+    bx, by = p_end
+    mx, my = bx - ax, by - ay
+    pts = [p_start]
+    params = []
+    violation = None
+    worst = 0.0
+    for k, (p0, p1, cv0, cv1) in enumerate(edges):
+        ex, ey = p1[0] - p0[0], p1[1] - p0[1]
+        den = ex * my - ey * mx
+        if abs(den) < 1e-300:
+            tau = math.inf
+        else:
+            tau = ((ax - p0[0]) * my - (ay - p0[1]) * mx) / den
+        edge_len = math.hypot(ex, ey)
+        if not 0.0 <= tau <= 1.0:
+            viol = (0.0 - tau) * edge_len if tau < 0.5 else (tau - 1.0) * edge_len
+            if not math.isfinite(viol):
+                viol = edge_len
             if viol > worst:
                 worst = viol
-                which = 0 if abs(iv[2] - mid) < abs(iv[3] - mid) else 1
-                at = (k, which)
-        return ("snap_cyclic", at[0], at[1])
+                violation = (k, 0 if tau < 0.5 else 1)
+            tau = min(max(tau, 0.0), 1.0)
+        else:
+            # capture-disc rule near conical endpoints
+            for which, corner in ((0, cv0), (1, cv1)):
+                dvert = tau * edge_len if which == 0 else (1.0 - tau) * edge_len
+                if dvert <= s.eps_vertex and s.is_conical(s.vertex_class[corner]):
+                    if 1.0 > worst:
+                        worst = 1.0
+                        violation = (k, which)
+        params.append(tau)
+        pts.append((p0[0] + tau * (p1[0] - p0[0]), p0[1] + tau * (p1[1] - p0[1])))
+    pts.append(p_end)
+    length = sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    return _Arc(arc.word, arc.start_corner, arc.end_corner, pts, places, params, length), violation
 
-    def set_axis(self, c: float):
-        """Put the axis at offset c and cross each corridor edge on it."""
-        self.axis_offset = c
-        crossval = _crossval(self.axis_dir)
-        self.params = []
-        pts = []
-        for p0, p1, _, _ in self.edges:
-            c0, c1 = crossval(p0), crossval(p1)
-            tau = 0.5 if c1 == c0 else (c - c0) / (c1 - c0)
-            self.params.append(tau)
-            pts.append((p0[0] + tau * (p1[0] - p0[0]), p0[1] + tau * (p1[1] - p0[1])))
-        self.points = pts
-        self.length = math.hypot(self.holonomy.tx, self.holonomy.ty)
 
-    # -- anchored arcs -------------------------------------------------------
+def _snap(s: ConeSurface, word: list[Crossing], k: int, which: int, it: int):
+    """Snap crossing k to its conical endpoint `which`: (before, corner_in, corner_out, after)."""
+    corner_in, corner_out = _endpoint_corners(s, word[k])[which]
+    if not s.is_conical(s.vertex_class[corner_in]):
+        raise NoConvergenceError(it)
+    return word[:k], corner_in, corner_out, word[k + 1 :]
 
-    def _tighten_arc(self, arc: _Arc):
-        s = self.s
-        places, edges = _corridor(s, arc.word)
-        arc.places = places
-        f0, v0 = arc.start_corner
-        p_start = s.faces[f0][v0]
-        f1, v1 = arc.end_corner
-        p_end = places[-1].apply(*s.faces[f1][v1])
-        ax, ay = p_start
-        bx, by = p_end
-        mx, my = bx - ax, by - ay
-        pts = [p_start]
-        params = []
+
+def _anchor_angles(s: ConeSurface, arc_in: _Arc, arc_out: _Arc):
+    """Side angles (ccw from reversed-in to out, and the complement) at the anchor between two arcs."""
+    corner_in, corner_out = arc_in.end_corner, arc_out.start_corner
+    # reversed incoming direction, in the chart of corner_in's face
+    pts = arc_in.points
+    apex = pts[-1]
+    prev = pts[-2]
+    base_dir = math.atan2(prev[1] - apex[1], prev[0] - apex[0])
+    local_rev = norm_angle(base_dir - arc_in.places[-1].rot)
+    coord_in = s.cone_coordinate(corner_in[0], corner_in[1], local_rev)
+    # outgoing direction in the chart of corner_out's face (arc base chart)
+    pts_o = arc_out.points
+    out_dir = math.atan2(pts_o[1][1] - pts_o[0][1], pts_o[1][0] - pts_o[0][0])
+    coord_out = s.cone_coordinate(corner_out[0], corner_out[1], norm_angle(out_dir))
+    theta = s.cone_angles[s.vertex_class[corner_in]]
+    gamma = math.fmod(coord_out - coord_in, theta)
+    if gamma < 0:
+        gamma += theta
+    return gamma, theta - gamma
+
+
+def _wedge_letters(s: ConeSurface, corner_in, corner_out, ccw: bool) -> list[Crossing]:
+    """Crossing letters collected walking around a vertex class between two corners."""
+    letters = []
+    cur = corner_in
+    for _ in range(sum(len(fan) for fan in s.class_corners) + 3):
+        if cur == corner_out:
+            return letters
+        nb, cur = s._turn(*cur, ccw)
+        letters.append(Crossing(nb.gluing, nb.forward, 0.5))
+    raise NoConvergenceError(0)
+
+
+def _merge_degenerate_anchors(s: ConeSurface, arcs: list[_Arc]):
+    """The arcs without the first empty zero-length one, whose anchors fuse; None if there is none."""
+    if len(arcs) < 2:
+        return None
+    for i, arc in enumerate(arcs):
+        if arc.word:
+            continue
+        if math.dist(arc.points[0], arc.points[-1]) > 10 * s.eps_geom:
+            continue
+        # the anchors on either side fuse into (arcs[i-1] end, arcs[i+1] start)
+        return arcs[:i] + arcs[i + 1 :]
+    return None
+
+
+def _run(s: ConeSurface, word: list[Crossing], max_iters: int):
+    """Shorten the word: (_Axis, []) if cone-free, else (None, arcs) with anchor i before arcs[i]."""
+    arcs = []
+    seen = {}  # state left by a step that removed an anchor -> that step's iteration
+    for it in range(max_iters):
+        if not arcs:
+            word = cyclic_reduce(s, word)
+            if not word:
+                raise NullHomotopicError("crossing word reduces to nothing")
+            axis, violation = _tighten_cyclic(s, word)
+            if violation is None:
+                return axis, []
+            before, corner_in, corner_out, after = _snap(s, word, *violation, it)
+            arcs = [_Arc(after + before, corner_out, corner_in)]
+            continue
         violation = None
-        worst = 0.0
-        for k, (p0, p1, cv0, cv1) in enumerate(edges):
-            ex, ey = p1[0] - p0[0], p1[1] - p0[1]
-            den = ex * my - ey * mx
-            if abs(den) < 1e-300:
-                tau = math.inf
+        for j, arc in enumerate(arcs):
+            arcs[j], v = _tighten_arc(s, arc)
+            if v is not None and violation is None:
+                violation = (j, v)
+        fused = _merge_degenerate_anchors(s, arcs)
+        if fused is not None:
+            arcs = fused
+        elif violation is not None:
+            j, (k, which) = violation
+            arc = arcs[j]
+            before, corner_in, corner_out, after = _snap(s, arc.word, k, which, it)
+            arcs[j : j + 1] = [_Arc(before, arc.start_corner, corner_in),
+                               _Arc(after, corner_out, arc.end_corner)]
+            continue
+        else:
+            # all arcs straight: release the first deficient anchor, or stop
+            for i in range(len(arcs)):
+                gl, gr = _anchor_angles(s, arcs[i - 1], arcs[i])
+                if min(gl, gr) < math.pi - EPS_ANGLE:
+                    break
             else:
-                tau = ((ax - p0[0]) * my - (ay - p0[1]) * mx) / den
-            edge_len = math.hypot(ex, ey)
-            if not 0.0 <= tau <= 1.0:
-                viol = (0.0 - tau) * edge_len if tau < 0.5 else (tau - 1.0) * edge_len
-                if not math.isfinite(viol):
-                    viol = edge_len
-                if viol > worst:
-                    worst = viol
-                    violation = ("snap_arc", arc, k, 0 if tau < 0.5 else 1)
-                tau = min(max(tau, 0.0), 1.0)
+                return None, arcs
+            arc_in, arc_out = arcs[i - 1], arcs[i]
+            wedge = _wedge_letters(s, arc_in.end_corner, arc_out.start_corner, gl < math.pi - EPS_ANGLE)
+            # wedge letters cross from corner_in's face chain into corner_out's face
+            if len(arcs) == 1:
+                # single anchor: merging returns to the cyclic state
+                word = arc_in.word + wedge
+                arcs = []
             else:
-                # capture-disc rule near conical endpoints
-                for which, corner in ((0, cv0), (1, cv1)):
-                    dvert = tau * edge_len if which == 0 else (1.0 - tau) * edge_len
-                    if dvert <= s.eps_vertex and s.is_conical(s.vertex_class[corner]):
-                        if 1.0 > worst:
-                            worst = 1.0
-                            violation = ("snap_arc", arc, k, which)
-            params.append(tau)
-            pts.append((p0[0] + tau * (p1[0] - p0[0]), p0[1] + tau * (p1[1] - p0[1])))
-        pts.append(p_end)
-        arc.points = pts
-        arc.params = params
-        arc.length = sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-        return violation
-
-    # -- state transformations ----------------------------------------------
-
-    def _snap_cyclic(self, k: int, which: int):
-        """Pin crossing k of the cyclic word to its canonical endpoint `which`."""
-        corner_in, corner_out = _endpoint_corners(self.s, self.word[k])[which]
-        word = self.word[k + 1 :] + self.word[:k]
-        self.arcs = [_Arc(word, corner_out, corner_in)]
-
-    def _snap_arc(self, arc: _Arc, k: int, which: int):
-        corner_in, corner_out = _endpoint_corners(self.s, arc.word[k])[which]
-        j = self.arcs.index(arc)
-        left = _Arc(arc.word[:k], arc.start_corner, corner_in)
-        right = _Arc(arc.word[k + 1 :], corner_out, arc.end_corner)
-        self.arcs[j : j + 1] = [left, right]
-
-    def _anchor_angles(self, i: int):
-        """Side angles (ccw from reversed-in to out, and the complement) at anchor i."""
-        s = self.s
-        arc_in = self.arcs[i - 1]
-        arc_out = self.arcs[i]
-        corner_in, corner_out = arc_in.end_corner, arc_out.start_corner
-        # reversed incoming direction, in the chart of corner_in's face
-        pts = arc_in.points
-        apex = pts[-1]
-        prev = pts[-2]
-        base_dir = math.atan2(prev[1] - apex[1], prev[0] - apex[0])
-        local_rev = norm_angle(base_dir - arc_in.places[-1].rot)
-        coord_in = s.cone_coordinate(corner_in[0], corner_in[1], local_rev)
-        # outgoing direction in the chart of corner_out's face (arc base chart)
-        pts_o = arc_out.points
-        out_dir = math.atan2(pts_o[1][1] - pts_o[0][1], pts_o[1][0] - pts_o[0][0])
-        coord_out = s.cone_coordinate(corner_out[0], corner_out[1], norm_angle(out_dir))
-        theta = s.cone_angles[s.vertex_class[corner_in]]
-        gamma = math.fmod(coord_out - coord_in, theta)
-        if gamma < 0:
-            gamma += theta
-        return gamma, theta - gamma
-
-    def _unsnap(self, i: int, ccw: bool):
-        arc_in = self.arcs[i - 1]
-        arc_out = self.arcs[i]
-        wedge = _wedge_letters(self.s, arc_in.end_corner, arc_out.start_corner, ccw)
-        # wedge letters cross from corner_in's face chain into corner_out's face
-        if len(self.arcs) == 1:
-            # single anchor: merging returns to the cyclic state
-            self.word = arc_in.word + wedge
-            self.arcs = []
-            return
-        merged = _Arc(arc_in.word + wedge + arc_out.word, arc_in.start_corner, arc_out.end_corner)
-        if i > 0:
-            self.arcs[i - 1 : i + 1] = [merged]
-        else:  # wrapped
-            self.arcs = self.arcs[1:-1] + [merged]
-
-    # -- main loop -----------------------------------------------------------
-
-    def _merge_degenerate_anchors(self) -> bool:
-        """Fuse consecutive anchors joined by an empty zero-length arc."""
-        if len(self.arcs) < 2:
-            return False
-        for i, arc in enumerate(self.arcs):
-            if arc.word or arc.points is None:
-                continue
-            if math.dist(arc.points[0], arc.points[-1]) > 10 * self.s.eps_geom:
-                continue
-            # the anchors on either side fuse into (arcs[i-1] end, arcs[i+1] start)
-            self.arcs.pop(i)
-            return True
-        return False
-
-    def run(self, max_iters: int):
-        s = self.s
-        seen = {}  # state left by a step that removed an anchor -> that step's iteration
-        for it in range(max_iters):
-            if not self.arcs:
-                self.word = cyclic_reduce(s, self.word)
-                if not self.word:
-                    raise NullHomotopicError("crossing word reduces to nothing")
-                violation = self._tighten_cyclic()
-                if violation is not None:
-                    _, k, which = violation
-                    corner_in, _ = _endpoint_corners(s, self.word[k])[which]
-                    if not s.is_conical(s.vertex_class[corner_in]):
-                        raise NoConvergenceError(it)
-                    self._snap_cyclic(k, which)
-                    continue
-                return
-            violation = None
-            for arc in self.arcs:
-                v = self._tighten_arc(arc)
-                if v is not None and violation is None:
-                    violation = v
-            if not self._merge_degenerate_anchors():
-                if violation is not None:
-                    _, arc, k, which = violation
-                    corner_in, _ = _endpoint_corners(s, arc.word[k])[which]
-                    if not s.is_conical(s.vertex_class[corner_in]):
-                        raise NoConvergenceError(it)
-                    self._snap_arc(arc, k, which)
-                    continue
-                # all arcs straight: release the first deficient anchor, or stop
-                for i in range(len(self.arcs)):
-                    gl, gr = self._anchor_angles(i)
-                    if min(gl, gr) < math.pi - EPS_ANGLE:
-                        self._unsnap(i, gl < math.pi - EPS_ANGLE)
-                        break
-                else:
-                    return
-            # an anchor was removed; with no arcs left the state is the cyclic word
-            state = tuple((tuple((c.gluing, c.forward) for c in a.word), a.start_corner, a.end_corner)
-                          for a in self.arcs) or tuple((c.gluing, c.forward) for c in self.word)
-            first = seen.setdefault(state, it)
-            if first != it:
-                raise NoConvergenceError(it + 1, it - first)
-        raise NoConvergenceError(max_iters)
+                merged = _Arc(arc_in.word + wedge + arc_out.word, arc_in.start_corner, arc_out.end_corner)
+                if i > 0:
+                    arcs[i - 1 : i + 1] = [merged]
+                else:  # wrapped
+                    arcs = arcs[1:-1] + [merged]
+        # an anchor was removed; with no arcs left the state is the cyclic word
+        state = tuple((tuple((c.gluing, c.forward) for c in a.word), a.start_corner, a.end_corner)
+                      for a in arcs) or tuple((c.gluing, c.forward) for c in word)
+        first = seen.setdefault(state, it)
+        if first != it:
+            raise NoConvergenceError(it + 1, it - first)
+    raise NoConvergenceError(max_iters)
 
 
 def _crossval(u):
@@ -491,9 +439,8 @@ def shorten(
     """
     word = list(loop.crossings)
     validate_word(s, word)
-    sh = _Shortener(s, word)
-    sh.run(max_iters)
-    return _assemble_anchored(s, sh) if sh.arcs else _assemble_cyclic(s, sh)
+    axis, arcs = _run(s, word, max_iters)
+    return _assemble_anchored(s, arcs) if arcs else _assemble_cyclic(s, axis)
 
 
 def _chart_segment(face: int, place: PlaneIsometry, a, b) -> Segment:
@@ -510,29 +457,41 @@ def _cycle(segments: list[Segment], events: list, period: float) -> GeodesicPath
     return GeodesicPath(start, start, segments, events, period)
 
 
-def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
-    word, places, H = sh.word, sh.places, sh.holonomy
+def _assemble_cyclic(s: ConeSurface, axis: _Axis) -> ClosedGeodesic:
+    word, places, H = axis.word, axis.places, axis.holonomy
 
-    # cylinder widths about the axis, using one period of face copies plus guards
+    # cylinder widths about the axis, using one period of face copies plus guards:
+    # the nearest cone offset on each side, among the copies' cone vertices and
+    # their images under H and H^-1
     slots = [(pre_face(s, word[0]), places[0])]
     for k, c in enumerate(word):
         slots.append((post_face(s, c), places[k + 1]))
-    cand = [p for face, place in slots for p in _placed_cone_vertices(s, face, place)]
-    cand += [H.apply(*p) for p in cand] + [H.inverse().apply(*p) for p in cand]
-    crossval = _crossval(sh.axis_dir)
-    offs = sorted({crossval(p) for p in cand})
-    c_now = sh.axis_offset
-    left = [o for o in offs if o > c_now + s.eps_geom]
-    right = [o for o in offs if o < c_now - s.eps_geom]
-    if left and right:
-        c_star = 0.5 * (min(left) + max(right))
-        sh.set_axis(c_star)
-        w_l = min(left) - c_star
-        w_r = c_star - max(right)
-    else:
-        w_l = w_r = None
+    H_inv = H.inverse()
+    crossval = _crossval(axis.direction)
+    left, right = math.inf, -math.inf
+    for face, place in slots:
+        for p in _placed_cone_vertices(s, face, place):
+            for o in (crossval(p), crossval(H.apply(*p)), crossval(H_inv.apply(*p))):
+                if axis.offset + s.eps_geom < o < left:
+                    left = o
+                if right < o < axis.offset - s.eps_geom:
+                    right = o
+    c_star = axis.offset
+    w_l = w_r = None
+    if left < math.inf and right > -math.inf:
+        c_star = 0.5 * (left + right)
+        w_l = left - c_star
+        w_r = c_star - right
 
-    pts = sh.points
+    # cross each corridor edge on the axis at offset c_star
+    crossings = []
+    pts = []
+    for c, (p0, p1, _, _) in zip(word, axis.edges):
+        c0, c1 = crossval(p0), crossval(p1)
+        tau = 0.5 if c1 == c0 else (c_star - c0) / (c1 - c0)
+        crossings.append(replace(c, t=tau))
+        pts.append((p0[0] + tau * (p1[0] - p0[0]), p0[1] + tau * (p1[1] - p0[1])))
+
     segments = []
     events = []
     arc = 0.0
@@ -547,18 +506,17 @@ def _assemble_cyclic(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
         events.append(EdgeCross(cr.gluing, cr.forward, nb.placement, arc))
 
     return ClosedGeodesic(
-        _cycle(segments, events, sh.length), sh.length, [], False,
-        [replace(c, t=sh.params[k]) for k, c in enumerate(word)], [], H, w_l, w_r,
+        _cycle(segments, events, axis.length), axis.length, [], False, crossings, [], H, w_l, w_r,
     )
 
 
-def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
+def _assemble_anchored(s: ConeSurface, arcs: list[_Arc]) -> ClosedGeodesic:
     segments = []
     events = []
     passages = []
     crossings = []
     arc_len = 0.0
-    for i, arc in enumerate(sh.arcs):
+    for i, arc in enumerate(arcs):
         pts = arc.points
         for j in range(len(pts) - 1):
             face = arc.start_corner[0] if j == 0 else post_face(s, arc.word[j - 1])
@@ -571,9 +529,9 @@ def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
                 events.append(EdgeCross(cr.gluing, cr.forward, nb.placement, arc_len))
                 crossings.append(replace(cr, t=arc.params[j]))
         # passage at the anchor that ends this arc
-        nxt = (i + 1) % len(sh.arcs)
-        gl, gr = sh._anchor_angles(nxt)
-        corner_in, corner_out = arc.end_corner, sh.arcs[nxt].start_corner
+        nxt = (i + 1) % len(arcs)
+        gl, gr = _anchor_angles(s, arc, arcs[nxt])
+        corner_in, corner_out = arc.end_corner, arcs[nxt].start_corner
         cid = s.vertex_class[corner_in]
         passages.append(Passage(cid, corner_in, corner_out, gl, gr))
         events.append(
@@ -581,7 +539,7 @@ def _assemble_anchored(s: ConeSurface, sh: _Shortener) -> ClosedGeodesic:
         )
     return ClosedGeodesic(
         _cycle(segments, events, arc_len), arc_len, passages, True, crossings,
-        list(sh.anchors), None, None, None,
+        [(arcs[i - 1].end_corner, arcs[i].start_corner) for i in range(len(arcs))], None, None, None,
     )
 
 
@@ -623,20 +581,20 @@ def verify_stationarity(s: ConeSurface, g: ClosedGeodesic) -> bool:
     Recomputes the geometry from the raw crossing word and anchors rather than
     trusting the optimizer's stored angles.
     """
-    fresh = _Shortener(s, list(g.crossings))
     if g.anchors:
-        fresh.arcs = _arcs_from_anchors(s, g)
-        for arc in fresh.arcs:
-            if fresh._tighten_arc(arc) is not None:
-                return False
-        for i in range(len(fresh.arcs)):
-            gl, gr = fresh._anchor_angles(i)
+        tight = [_tighten_arc(s, arc) for arc in _arcs_from_anchors(s, g)]
+        if any(violation is not None for _, violation in tight):
+            return False
+        arcs = [arc for arc, _ in tight]
+        for i in range(len(arcs)):
+            gl, gr = _anchor_angles(s, arcs[i - 1], arcs[i])
             if min(gl, gr) < math.pi - 10 * EPS_ANGLE:
                 return False
-        return abs(sum(a.length for a in fresh.arcs) - g.period) <= 1e-6 * max(1.0, g.period)
-    if fresh._tighten_cyclic() is not None:
+        return abs(sum(a.length for a in arcs) - g.period) <= 1e-6 * max(1.0, g.period)
+    axis, violation = _tighten_cyclic(s, list(g.crossings))
+    if violation is not None:
         return False
-    return abs(fresh.length - g.period) <= 1e-6 * max(1.0, g.period)
+    return abs(axis.length - g.period) <= 1e-6 * max(1.0, g.period)
 
 
 def _arcs_from_anchors(s: ConeSurface, g: ClosedGeodesic):

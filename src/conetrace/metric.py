@@ -235,9 +235,8 @@ def lift_point(s: ConeSurface, x: SurfacePoint, y: SurfacePoint,
         _, prev, (_, prev_root, turn, corner) = reach[c]
         out = s.class_corners[c][root]
         while corner != (out.face, out.vertex):
-            nb = s._corner_successor(*corner)
+            nb, corner = s._turn(*corner)
             turn = turn.compose(nb.placement)
-            corner = (nb.face, nb.edge)
         place = turn.compose(place)
         c, root = prev, prev_root
     return best, place

@@ -128,11 +128,13 @@ class ConeSurface:
         a_prev = math.atan2(py - vy, px - vx)
         return Corner(face, vertex, a_next, norm_angle(a_prev - a_next), fan_start)
 
-    def _corner_successor(self, face: int, vertex: int) -> Neighbour:
-        # Rotating CCW about the vertex leaves the face across edge (face, vertex-1);
-        # the shared vertex is the END of that directed edge, hence the START of its
-        # partner: the next corner is (nb.face, nb.edge), placed by nb.placement.
-        return self.neighbours[face][(vertex - 1) % len(self.faces[face])]
+    def _turn(self, face: int, vertex: int, ccw: bool = True) -> tuple[Neighbour, tuple[int, int]]:
+        # (chart step, next corner) turning about the vertex of corner (face, vertex).
+        # CCW leaves the face across edge (face, vertex-1), which ENDS at the vertex, so
+        # the next corner (nb.face, nb.edge) STARTS the partner edge; CW leaves across
+        # edge (face, vertex), and the next corner ends the partner edge.
+        nb = self.neighbours[face][(vertex - 1) % len(self.faces[face]) if ccw else vertex]
+        return nb, (nb.face, nb.edge if ccw else (nb.edge + 1) % len(self.faces[nb.face]))
 
     def _build_vertex_classes(self):
         seen: dict[tuple[int, int], int] = {}
@@ -154,8 +156,7 @@ class ConeSurface:
                 corner = self.corners[cur] = self._corner(cur[0], cur[1], total)
                 fan.append(corner)
                 total += corner.interior_angle
-                nb = self._corner_successor(*cur)
-                cur = (nb.face, nb.edge)
+                _, cur = self._turn(*cur)
                 if cur == start:
                     break
                 if cur in seen:  # inconsistent gluing; malformed input

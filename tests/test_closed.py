@@ -2,6 +2,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -132,6 +133,25 @@ def test_verify_stationarity(octagon, decagon):
         (decagon, find_unique_closed(decagon, 200, seed=11)),
     ):
         assert verify_stationarity(s, g)
+
+
+def test_verify_stationarity_rejects(octagon):
+    gc = shorten(octagon, Loop([Crossing(0, True, 0.3)]))
+    gu = find_unique_closed(octagon, 200)
+    ga = shorten(octagon, Loop(_letters("0+ 0+ 2+")))
+    assert ga.anchors == [((0, 0), (0, 5)), ((0, 1), (0, 4))]
+    assert gu.anchors[1] == ((0, 5), (0, 3))
+    for g in (gc, gu, ga):
+        assert verify_stationarity(octagon, g)
+        assert not verify_stationarity(octagon, replace(g, period=1.01 * g.period))
+    # claimed cone-free, but the corridor of 0+ 0+ 2+ holds no straight axis
+    assert not verify_stationarity(octagon, replace(gc, crossings=_letters("0+ 0+ 2+")))
+    # the last arc ends at another corner of its class, and its chord leaves the corridor
+    assert not verify_stationarity(octagon, replace(ga, anchors=[((0, 3), (0, 5)), ga.anchors[1]]))
+    # an anchor leaves from another corner of its class, so a side angle drops below pi
+    assert not verify_stationarity(octagon, replace(gu, anchors=[gu.anchors[0], ((0, 5), (0, 0))]))
+    # checked as cone-free, the word of an anchored result has an axis of another length
+    assert not verify_stationarity(octagon, replace(ga, anchors=[]))
 
 
 def _closing_words(s, seed: int, n: int):
