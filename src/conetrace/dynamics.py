@@ -210,23 +210,23 @@ def _box_interval(st, box):
     """Slab clip of every segment of a `tracer._Steps` against the box.
 
     Returns (lo, hi, meets): the arc-length interval [lo, hi] of each segment
-    inside the box, valid where `meets` is True.
+    inside the box, valid where `meets` is True; a zero bound has either sign.
     """
     x0, y0, x1, y1 = box
     lo = np.zeros_like(st.length)
     hi = st.length
-    meets = np.ones(lo.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for p, u, lo_w, hi_w in ((st.x, st.dx, x0, x1), (st.y, st.dy, y0, y1)):
-            flat = np.abs(u) < 1e-300
-            meets &= ~flat | ((lo_w <= p) & (p <= hi_w))
             t0 = (lo_w - p) / u
             t1 = (hi_w - p) / u
-            t0, t1 = np.where(t0 > t1, t1, t0), np.where(t0 > t1, t0, t1)
-            lo = np.where(~flat & (t0 > lo), t0, lo)
-            hi = np.where(~flat & (t1 < hi), t1, hi)
-            meets &= ~(lo > hi)
-    return lo, hi, meets
+            flat = np.abs(u) < 1e-300
+            if flat.any():  # a flat axis clips nothing, or everything when p is outside
+                t0 = np.where(flat, np.where((lo_w <= p) & (p <= hi_w), -np.inf, np.inf), t0)
+                t1 = np.where(flat, np.inf, t1)
+            # lo only grows and hi only shrinks, so lo > hi after one axis stays so
+            lo = np.maximum(lo, np.minimum(t0, t1))
+            hi = np.minimum(hi, np.maximum(t0, t1))
+    return lo, hi, lo <= hi
 
 
 def hit_times(
@@ -250,15 +250,16 @@ def hit_times(
 
     The pending samples of an attempt are drawn as arrays, the generators'
     doubles by `_seeded_uniforms` and the states from them by `_states`, and
-    traced as one batch by `tracer._trace_batch`, whose segments are clipped
-    against U's box as arrays.  While the batch runs, each stretch a path
-    spends in U is noted by (row, first bin, last bin); once it ends, the
-    stretches of the paths that met no cone mark their bins, and so do all of
-    the last attempt's.  The report is bit-equal to tracing each sample with
-    `tracer.trace`, which the tests use as the reference.  Raises ValueError
-    for a horizon or dt that is not positive and finite, a non-positive
-    n_samples, a negative seed, and a cell that is not on the NX x NY x NDIR
-    grid of a face of the surface; TypeError for a seed that is not an int.
+    traced as one batch by `tracer._trace_batch`, whose rows, one per path
+    still running, are clipped against U's box as arrays.  Each row notes its
+    path's length so far and the stretch it spends in U, as (lane, first bin,
+    last bin); once the batch ends, the stretches of the paths that met no
+    cone mark their bins, and so do all of the last attempt's.  The report is
+    bit-equal to tracing each sample with `tracer.trace`, the tests'
+    reference.  Raises ValueError for a horizon or dt that is not positive
+    and finite, a non-positive n_samples, a negative seed, and a cell that is
+    not on the NX x NY x NDIR grid of a face of the surface; TypeError for a
+    seed that is not an int.
     """
     if not (0 < horizon < math.inf and 0 < dt < math.inf and n_samples > 0):
         raise ValueError("horizon and dt must be positive and finite, n_samples positive")
@@ -275,17 +276,17 @@ def hit_times(
         u = _seeded_uniforms(seed, pending, attempt, 4)
         states = _states(fans, np.full(len(pending), cell_o.face), u, *cell_o.dir_interval())
         length = np.empty(len(pending))
-        stretches = []  # (rows, first bins, last bins) of each step's visits to U
+        stretches = []  # (lanes, first bins, last bins) of each step's visits to U
         for st in _trace_batch(s, states, horizon):
-            np.copyto(length, st.arc + st.length, where=st.run)
+            length[st.lane] = st.arc + st.length
             lo, hi, meets = _box_interval(st, box)
-            meets &= st.run & (st.face == cell_u.face) & (d0 <= st.direction) & (st.direction <= d1)
+            meets &= (st.face == cell_u.face) & (d0 <= st.direction) & (st.direction <= d1)
             if meets.any():
                 rows = np.flatnonzero(meets)
                 arc = st.arc[rows]
                 first = ((arc + lo[rows]) / dt).astype(np.int64)
                 last = ((arc + hi[rows]) / dt).astype(np.int64)
-                stretches.append((rows, first, last))
+                stretches.append((st.lane[rows], first, last))
         short = length < horizon - 1e-9
         discards += int(short.sum())  # each path that met a cone
         final = attempt == MAX_ATTEMPTS - 1 or not short.any()

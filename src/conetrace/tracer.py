@@ -40,7 +40,8 @@ MAX_EVENTS = 1_000_000  # events in one trace before EventBudgetExceededError
 
 @dataclass(frozen=True)
 class TangentState:
-    """A unit tangent vector: face chart, base point, direction angle in [0, 2*pi)."""
+    """A unit tangent vector: face chart, base point, and a direction angle that traces keep
+    as `norm_angle` reduces it: in [0, 2*pi), except that -0.0 and exactly 2*pi occur."""
 
     face: int
     x: float
@@ -194,17 +195,19 @@ def trace(s: ConeSurface, start: TangentState, length: float) -> GeodesicPath:
 class _Steps(NamedTuple):
     """One step of `_trace_batch`: the next segment of every lane still running.
 
-    Row i belongs to lane i and holds a segment only where `run[i]` is True;
-    the other rows are lanes that have stopped, and hold stale values.  A
-    segment is as `trace` records it: chart `face`, entry (x, y), exit
-    (qx, qy), `length` and `direction`, with (dx, dy) the cos/sin `trace` uses
-    for that direction and `arc` the arc length at the entry.  `cone` is the
-    vertex class of the cone hit that ends the segment, or -1, and `vertex`
-    the corner of `face` at that hit.  A lane's last segment ends at its end
-    state, and `arc + length` there is its path length.
+    Row i belongs to lane `lane[i]`, the index of its start, in increasing
+    order; a lane has a row in every step up to the one where its length ends
+    or a cone captures it, and none after.  A segment is as `trace` records
+    it: chart `face`, entry (x, y), exit (qx, qy), `length` and `direction`,
+    with (dx, dy) the cos/sin `trace` uses for that direction and `arc` the
+    arc length at the entry.  `cone` is the vertex class of the cone hit that
+    ends the segment, or -1, and `vertex` the corner of `face` at that hit;
+    in a step without a hit both are one read-only array of -1.  A lane's
+    last segment ends at its end state, and `arc + length` there is its path
+    length.
     """
 
-    run: np.ndarray
+    lane: np.ndarray
     face: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -223,15 +226,14 @@ def _trace_batch(s: ConeSurface, starts, length: float):
     """Trace the starts (face, x, y, direction), one array each, for `length` at once.
 
     Yields one `_Steps` per face crossing.  Each step finds the exit edge of
-    every lane with one vectorised ray/edge solve against its face's edge
-    rows, then moves the lanes that cross into the next chart.  A lane stops
-    at the end of its length or at a cone hit, and the batch ends when every
-    lane has stopped; lanes keep their rows, so arrays keep their size.  A
-    lane whose exit point lies near an end of its exit edge is handed to
-    `_cone_at`.  Lane i is `trace(s, TangentState(face[i], x[i], y[i],
-    direction[i]), length)` operation for operation, with the same errors:
-    its segments are that trace's segments bit for bit, and a hit is its
-    ConeHit.  The per-face tables are built in each call.
+    every running lane with one vectorised ray/edge solve against its face's
+    edge rows, then moves the lanes that cross into the next chart.  A lane
+    stops at the end of its length or at a cone hit, and the next step drops
+    its row.  A lane whose exit point lies near an end of its exit edge is
+    handed to `_cone_at`.  Lane i is `trace(s, TangentState(face[i], x[i],
+    y[i], direction[i]), length)` operation for operation, with the same
+    errors: its segments are that trace's segments bit for bit, and a hit is
+    its ConeHit.  The per-face tables are built in each call.
     """
     # imported here so that importing the package loads numpy no earlier than
     # `dynamics` does: loading it first raised the import's peak memory ~2 MB
@@ -241,13 +243,6 @@ def _trace_batch(s: ConeSurface, starts, length: float):
         raise ValueError("length must be finite and nonnegative")
     face = np.asarray(starts[0], dtype=np.int64)
     px, py, d = (np.asarray(c, dtype=float) for c in starts[1:])
-    for f, x, y in zip(face.tolist(), px.tolist(), py.tolist()):
-        if not s.contains(SurfacePoint(f, x, y)):
-            raise ValueError("start point is not inside its face")
-    if not np.isfinite(d).all():
-        raise ValueError("start direction is not finite")
-    d = np.fmod(d, TWO_PI)  # norm_angle
-    d = np.where(d < 0.0, d + TWO_PI, d)
     # edge rows and chart steps of every face, padded to the largest face; a
     # padding edge has a zero normal, so no ray leaves through it
     nf, width = len(s.faces), max(len(f) for f in s.faces)
@@ -262,19 +257,34 @@ def _trace_batch(s: ConeSurface, starts, length: float):
             enter[f * width + e] = nb.face
     ax, ay, nx, ny = rows[:4]
     corners = rows[[0, 1, 4, 5]].reshape(4, -1)  # (ax, ay, bx, by) by face * width + edge
+    # `contains` as arrays: point_in_convex's test of every edge, expression for
+    # expression; a padding edge passes a finite point, and NaN or inf fails
+    on = (0 <= face) & (face < nf)
+    a_x, a_y, b_x, b_y = corners.reshape(4, nf, width).take(np.where(on, face, 0), 1)
+    with np.errstate(invalid="ignore"):
+        on &= ((b_x - a_x) * (py[:, None] - a_y) - (b_y - a_y) * (px[:, None] - a_x)
+               >= -(10 * s.eps_geom)).all(1)
+    if not on.all():
+        raise ValueError("start point is not inside its face")
+    if not np.isfinite(d).all():
+        raise ValueError("start direction is not finite")
+    d = np.fmod(d, TWO_PI)  # norm_angle
+    d = np.where(d < 0.0, d + TWO_PI, d)
 
     n = len(face)
-    dx = np.array([math.cos(a) for a in d.tolist()])
-    dy = np.array([math.sin(a) for a in d.tolist()])
+    lane = np.arange(n)
+    dx = np.array([*map(math.cos, d.tolist())])
+    dy = np.array([*map(math.sin, d.tolist())])
     arc = np.zeros(n)
     remaining = np.full(n, float(length))
-    run = np.ones(n, dtype=bool)
-    first_edge = np.arange(n) * width  # offset of row i in the flattened (n, width) solve
+    first_edge = lane * width  # offset of row i in the flattened (rows, width) solve
+    no_cone = np.broadcast_to(np.int64(-1), n)  # read-only: a step with a hit copies it
     crossed = 0  # crossings so far, the same for every running lane
     guard = -100.0 * s.eps_geom
     box = 2.0 * s.eps_vertex
 
-    while run.any():
+    while lane.size:
+        m = lane.size
         # t = ((ax - px) nx + (ay - py) ny) / (dx nx + dy ny) per lane and edge,
         # in place in four (lanes, width) arrays
         fn_x, fn_y = nx.take(face, 0), ny.take(face, 0)
@@ -293,51 +303,55 @@ def _trace_batch(s: ConeSurface, starts, length: float):
         # trace's first strict minimum of guard < t, over edges facing the ray
         t[~((denom > 1e-300) & (t > guard))] = math.inf
         e = t.argmin(axis=1)
-        best = t.take(first_edge + e)
+        best = t.take(first_edge[:m] + e)
         best = np.where(best < 0.0, 0.0, best)
         ends = best >= remaining  # an inf best is no exit edge
         seg = np.where(ends, remaining, best)
         qx = px + seg * dx
         qy = py + seg * dy
-        cone = np.full(n, -1, dtype=np.int64)
-        vertex = np.full(n, -1, dtype=np.int64)
+        cone = vertex = no_cone[:m]
 
         # cone capture: a box of twice the capture radius about either end of
         # the exit edge picks the lanes that `_cone_at` decides
         k = face * width + e
         va_x, va_y, vb_x, vb_y = corners.take(k, 1)
-        near = run & ~ends & (
+        near = ~ends & (
             ((np.abs(qx - va_x) <= box) & (np.abs(qy - va_y) <= box))
             | ((np.abs(qx - vb_x) <= box) & (np.abs(qy - vb_y) <= box))
         )
         for i in np.flatnonzero(near).tolist():
             hit = _cone_at(s, int(face[i]), int(e[i]), float(qx[i]), float(qy[i]))
             if hit is not None:
+                if not cone.flags.writeable:
+                    cone, vertex = cone.copy(), vertex.copy()
                 cone[i], vertex[i] = hit
 
-        go = run & ~ends & (cone < 0)
+        go = ~ends & (cone < 0)
         if crossed >= MAX_EVENTS and go.any():
             raise EventBudgetExceededError(f"more than {MAX_EVENTS} events")
-        yield _Steps(run, face, px, py, qx, qy, seg, d, dx, dy, arc, cone, vertex)
+        yield _Steps(lane, face, px, py, qx, qy, seg, d, dx, dy, arc, cone, vertex)
 
+        if not go.all():
+            keep = np.flatnonzero(go)
+            lane, k, qx, qy, d, dx, dy, arc, seg, remaining = (
+                a.take(keep) for a in (lane, k, qx, qy, d, dx, dy, arc, seg, remaining))
         c, sn, tx, ty, rot = steps.take(k, 1)
-        px = np.where(go, c * qx - sn * qy + tx, px)
-        py = np.where(go, sn * qx + c * qy + ty, py)
+        px = c * qx - sn * qy + tx
+        py = sn * qx + c * qy + ty
         turned = np.fmod(d + rot, TWO_PI)
         turned = np.where(turned < 0.0, turned + TWO_PI, turned)
         # a direction the chart step changed (bitwise, so 0.0 differs from -0.0)
         # gets trace's math.cos/math.sin; np.cos may differ from them by an ulp
-        moved = np.flatnonzero(go & (turned.view(np.int64) != d.view(np.int64)))
-        d = np.where(go, turned, d)
+        moved = np.flatnonzero(turned.view(np.int64) != d.view(np.int64))
+        d = turned
         if moved.size:
             a = d[moved].tolist()
             dx, dy = dx.copy(), dy.copy()
-            dx[moved] = [math.cos(v) for v in a]
-            dy[moved] = [math.sin(v) for v in a]
-        face = np.where(go, enter.take(k), face)
-        arc = np.where(go, arc + seg, arc)
-        remaining = np.where(go, remaining - best, remaining)
-        run = go
+            dx[moved] = [*map(math.cos, a)]
+            dy[moved] = [*map(math.sin, a)]
+        face = enter.take(k)
+        arc = arc + seg
+        remaining = remaining - seg
         crossed += 1
 
 

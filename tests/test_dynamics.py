@@ -18,6 +18,7 @@ from conetrace import dynamics
 from conetrace.dynamics import MixingReport, cell_region, random_state
 from conetrace.errors import EmptyCellError
 from conetrace.geom import point_in_convex, signed_area
+from conftest import _octagon_cut
 
 
 def test_cell_region_interior(octagon):
@@ -188,19 +189,14 @@ def _attempts(s, cell_o, horizon, n_samples, seed):
     return most
 
 
-@pytest.mark.parametrize("max_attempts", [1, 2, 64])
-def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
-    # a capture radius of 0.05 makes most samples meet a cone, so re-draws,
-    # discards and the kept short path of the last attempt all occur
-    s = builtin("octagon6pi")
-    s.eps_vertex = 0.05
+def _check_hit_times(monkeypatch, s, o, cells_u, max_attempts):
+    """hit_times from O to each U against `_scalar_hit_times`, field by field."""
     monkeypatch.setattr(dynamics, "MAX_ATTEMPTS", max_attempts)
     # one batch per attempt: a path that met a cone is never traced again
     batches = []
     batch = dynamics._trace_batch
     monkeypatch.setattr(dynamics, "_trace_batch", lambda *a: batches.append(1) or batch(*a))
-    o = PhaseCell(0, 4, 8, 10)
-    for u in (PhaseCell(0, 11, 8, 10), o):
+    for u in cells_u:
         batches.clear()
         got = hit_times(s, o, u, 30.0, 0.5, 100, seed=7)
         assert len(batches) == _attempts(s, o, 30.0, 100, 7)
@@ -210,6 +206,29 @@ def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
         for field in dataclasses.fields(MixingReport):
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert repr(a) == repr(b), field.name
+
+
+@pytest.mark.parametrize("max_attempts", [1, 2, 64])
+def test_hit_times_matches_scalar_trace(monkeypatch, max_attempts):
+    # a capture radius of 0.05 makes most samples meet a cone, so re-draws,
+    # discards and the kept short path of the last attempt all occur
+    s = builtin("octagon6pi")
+    s.eps_vertex = 0.05
+    o = PhaseCell(0, 4, 8, 10)
+    _check_hit_times(monkeypatch, s, o, (PhaseCell(0, 11, 8, 10), o), max_attempts)
+
+
+@pytest.mark.parametrize("max_attempts", [1, 64])
+@pytest.mark.parametrize("name, o, u", [
+    ("octagon_cut", PhaseCell(1, 4, 8, 10), PhaseCell(0, 11, 8, 10)),
+    ("decagon4pi4pi", PhaseCell(0, 8, 8, 10), PhaseCell(0, 11, 8, 10)),
+], ids=["octagon_cut", "decagon4pi4pi"])
+def test_hit_times_matches_scalar_trace_on_more_faces(monkeypatch, name, o, u, max_attempts):
+    # samples leave the hexagon of octagon_cut for its quad, and cross the ten
+    # edges and meet the two cone classes of decagon4pi4pi
+    s = _octagon_cut() if name == "octagon_cut" else builtin(name)
+    s.eps_vertex = 0.05
+    _check_hit_times(monkeypatch, s, o, (u, o), max_attempts)
 
 
 def test_transitivity_same_sector_cells(octagon):

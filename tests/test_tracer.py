@@ -27,6 +27,7 @@ from conetrace.errors import (
     NotALoopError,
     OutOfWindowError,
 )
+from conftest import _octagon_cut
 
 APOTHEM = math.cos(math.pi / 8)
 VERTEX_DIR = math.pi / 8  # direction from the center to vertex (cos pi/8, sin pi/8)
@@ -78,16 +79,6 @@ TWO_SQUARES = (
 )
 
 
-def _octagon_cut():
-    """octagon6pi cut along the diagonal v0-v3 into a quad and a hexagon: faces of unequal size."""
-    v = [(math.cos((2 * k - 1) * math.pi / 8), math.sin((2 * k - 1) * math.pi / 8)) for k in range(8)]
-    face = lambda i, idx: f"face {i} {len(idx)} " + " ".join(f"{c!r}" for k in idx for c in v[k])
-    return parse_surface(
-        "surface octagon_cut\n" + face(0, [0, 1, 2, 3]) + "\n" + face(1, [3, 4, 5, 6, 7, 0]) + "\n"
-        "glue 0.0 1.1\nglue 0.1 1.2\nglue 0.2 1.3\nglue 1.0 1.4\nglue 0.3 1.5\n"
-    )
-
-
 def _batch_starts(s, seed):
     """200 seeded random states, starts aimed at and leaving every corner, starts
     a hair outside every edge heading out (an exit at t <= 0: trace's guard and clamp),
@@ -129,16 +120,26 @@ def _columns(starts):
 
 
 def _batch_lanes(s, starts, length):
+    """Each lane as `_scalar_lane` reports it, from the rows `_trace_batch` yields,
+    checking the batch's compaction: a lane has a row in every step from the
+    first up to its end or its cone hit and in none after, and lane ids increase
+    strictly within each step."""
     rows = [[] for _ in starts]
     hits = [[] for _ in starts]
-    for st in tracer._trace_batch(s, _columns(starts), length):
-        for i in np.flatnonzero(st.run).tolist():
-            rows[i].append(tuple(col[i].item() for col in st[1:11]))
-            if st.cone[i] >= 0:
-                hits[i].append((st.cone[i].item(), st.face[i].item(), st.vertex[i].item(),
-                                (st.arc[i] + st.length[i]).item()))
+    for k, st in enumerate(tracer._trace_batch(s, _columns(starts), length)):
+        lanes = st.lane.tolist()
+        assert all(a < b for a, b in zip(lanes, lanes[1:])), k
+        for r, i in enumerate(lanes):
+            # a row in every step so far, and none after a cone hit
+            assert len(rows[i]) == k and not hits[i], (i, k)
+            rows[i].append(tuple(col[r].item() for col in st[1:11]))
+            if st.cone[r] >= 0:
+                hits[i].append((st.cone[r].item(), st.face[r].item(), st.vertex[r].item(),
+                                (st.arc[r] + st.length[r]).item()))
     out = []
-    for r, h in zip(rows, hits):
+    for i, (r, h) in enumerate(zip(rows, hits)):
+        # every row before the last crosses an edge short of the lane's length
+        assert all(arc + seg_len < length for *_, seg_len, _, _, _, arc in r[:-1]), i
         face, _, _, qx, qy, seg_len, direction, _, _, arc = r[-1]
         out.append((r, (face, qx, qy, direction), h, arc + seg_len))
     return out
@@ -169,6 +170,34 @@ def test_batch_rejects_bad_start(bad):
     starts.insert(7, TangentState(*bad, 0.3))
     with pytest.raises(ValueError, match="not inside its face"):
         next(tracer._trace_batch(s, _columns(starts), 10.0))
+
+
+@pytest.mark.parametrize("name", ["octagon6pi", "octagon_cut"])
+def test_batch_start_rule_matches_contains(name):
+    # the batch's array test of a start gives contains' verdict point by point:
+    # 5, 10 and 15 eps_geom outside the middle of each edge, every corner, and
+    # NaN and infinite coordinates, in every face and in faces off the surface
+    s = _octagon_cut() if name == "octagon_cut" else builtin(name)
+    odd = (math.nan, math.inf, -math.inf, 0.0)
+    points = [(x, y) for x in odd for y in odd]
+    for poly, edges in zip(s.faces, s.edge_rows):
+        points += poly
+        for ax, ay, nx, ny, bx, by in edges:
+            for k in (5, 10, 15):
+                h = k * s.eps_geom / math.hypot(nx, ny)
+                points.append(((ax + bx) / 2 + h * nx, (ay + by) / 2 + h * ny))
+    verdicts = []
+    for f in range(-1, len(s.faces) + 1):
+        for x, y in points:
+            try:
+                next(tracer._trace_batch(s, _columns([TangentState(f, x, y, 0.3)]), 1.0))
+                got = True
+            except ValueError as err:
+                assert "not inside its face" in str(err)
+                got = False
+            assert got == s.contains(SurfacePoint(f, x, y)), (f, x, y)
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("name", ["octagon6pi", "decagon4pi4pi", "two_squares", "octagon_cut"])
